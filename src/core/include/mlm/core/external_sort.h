@@ -17,11 +17,9 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <cstring>
 #include <optional>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -44,23 +42,69 @@
 namespace mlm::core {
 
 namespace external_sort_detail {
-// One static site per sorter phase (mlm/fault/fault.h); a query is a
-// single relaxed atomic load unless a plan is installed.
-inline fault::FaultSite& stage_in_site() {
-  static fault::FaultSite site(fault::sites::kExternalSortStageIn);
-  return site;
-}
-inline fault::FaultSite& inner_sort_site() {
-  static fault::FaultSite site(fault::sites::kExternalSortInner);
-  return site;
-}
-inline fault::FaultSite& stage_out_site() {
-  static fault::FaultSite site(fault::sites::kExternalSortStageOut);
-  return site;
-}
-inline fault::FaultSite& merge_site() {
-  static fault::FaultSite site(fault::sites::kExternalSortMerge);
-  return site;
+/// Site named by the DDR staging-buffer ladder's events (the buffer is a
+/// plain MemorySpace allocation, guarded by memory.space.allocate).
+inline constexpr const char* kDdrStagingSite = "sort.external.ddr_staging";
+
+/// One worker's slice of an external merge: per-run far cursors and the
+/// output offset its merged elements start at.
+template <typename T>
+struct MergePart {
+  struct Cursor {
+    const T* next;
+    const T* end;
+  };
+  std::vector<Cursor> cursors;
+  std::size_t out_begin = 0;
+};
+
+/// Part planning shared by both external merges: as many parts as
+/// workers (at most one per 4096 elements) whose staging footprint —
+/// k input blocks + 1 output block, each rounded up to the space's
+/// cache-line allocation granularity — fits in `staging`, each cut at
+/// exact output split points.  Empty when there is nothing to merge.
+template <typename T, typename Comp>
+std::vector<MergePart<T>> plan_merge_parts(
+    Executor& pool, MemorySpace& staging,
+    std::span<const mlm::sort::Run<T>> runs, std::size_t out_size,
+    std::size_t block_elements, Comp comp) {
+  std::size_t total = 0;
+  for (const auto& r : runs) total += r.size();
+  MLM_REQUIRE(out_size == total, "output size must equal total runs");
+  MLM_REQUIRE(block_elements >= 1, "block must hold at least one element");
+  if (total == 0) return {};
+
+  const std::size_t k = runs.size();
+  const std::size_t block_bytes =
+      round_up(block_elements * sizeof(T), kCacheLineBytes);
+  const std::size_t per_part_bytes = (k + 1) * block_bytes;
+  std::size_t parts = std::min(pool.size(),
+                               std::max<std::size_t>(total / 4096, 1));
+  if (!staging.unlimited()) {
+    const std::size_t cap = staging.stats().free_bytes();
+    MLM_REQUIRE(per_part_bytes <= cap,
+                "staging space cannot hold even one part's merge blocks");
+    parts = std::min(parts, cap / per_part_bytes);
+  }
+  parts = std::max<std::size_t>(parts, 1);
+
+  std::vector<MergePart<T>> plan(parts);
+  std::vector<std::size_t> lo(k, 0);
+  for (std::size_t p = 0; p < parts; ++p) {
+    std::vector<std::size_t> hi(k);
+    if (p + 1 < parts) {
+      hi = mlm::sort::multiseq_partition(runs, total * (p + 1) / parts, comp);
+    } else {
+      for (std::size_t i = 0; i < k; ++i) hi[i] = runs[i].size();
+    }
+    plan[p].cursors.resize(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      plan[p].cursors[i] = {runs[i].data() + lo[i], runs[i].data() + hi[i]};
+      plan[p].out_begin += lo[i];
+    }
+    lo = std::move(hi);
+  }
+  return plan;
 }
 }  // namespace external_sort_detail
 
@@ -77,52 +121,13 @@ void external_multiway_merge(Executor& pool, MemorySpace& staging,
                              std::span<const mlm::sort::Run<T>> runs,
                              std::span<T> out,
                              std::size_t block_elements, Comp comp = {}) {
-  using mlm::sort::Run;
-  std::size_t total = 0;
-  for (const auto& r : runs) total += r.size();
-  MLM_REQUIRE(out.size() == total, "output size must equal total runs");
-  MLM_REQUIRE(block_elements >= 1, "block must hold at least one element");
-  if (total == 0) return;
-
+  auto parts = external_sort_detail::plan_merge_parts(
+      pool, staging, runs, out.size(), block_elements, comp);
   const std::size_t k = runs.size();
-  // Fit the per-part staging footprint: (k input blocks + 1 output
-  // block) per part, each rounded up to the space's cache-line
-  // allocation granularity.
-  const std::size_t block_bytes =
-      round_up(block_elements * sizeof(T), kCacheLineBytes);
-  const std::size_t per_part_bytes = (k + 1) * block_bytes;
-  std::size_t parts = std::min(pool.size(),
-                               std::max<std::size_t>(total / 4096, 1));
-  if (!staging.unlimited()) {
-    const std::size_t cap = staging.stats().free_bytes();
-    MLM_REQUIRE(per_part_bytes <= cap,
-                "staging space cannot hold even one part's merge blocks");
-    parts = std::min(parts, cap / per_part_bytes);
-  }
-  parts = std::max<std::size_t>(parts, 1);
 
-  // Exact output split points per part.
-  std::vector<std::vector<std::size_t>> bounds(parts + 1);
-  bounds[0].assign(k, 0);
-  for (std::size_t p = 1; p < parts; ++p) {
-    bounds[p] = mlm::sort::multiseq_partition(runs, total * p / parts, comp);
-  }
-  bounds[parts].resize(k);
-  for (std::size_t i = 0; i < k; ++i) bounds[parts][i] = runs[i].size();
-
-  parallel_for(pool, 0, parts, [&](std::size_t p) {
+  parallel_for(pool, 0, parts.size(), [&](std::size_t p) {
     // Per-run far cursors for this part's slice.
-    struct Cursor {
-      const T* next;
-      const T* end;
-    };
-    std::vector<Cursor> cursors(k);
-    std::size_t out_begin = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      cursors[i] = {runs[i].data() + bounds[p][i],
-                    runs[i].data() + bounds[p + 1][i]};
-      out_begin += bounds[p][i];
-    }
+    auto& cursors = parts[p].cursors;
 
     // Staging blocks: k input windows + 1 output block.
     std::vector<SpaceBuffer<T>> in_blocks;
@@ -148,7 +153,7 @@ void external_multiway_merge(Executor& pool, MemorySpace& staging,
     // Loser tree over the staged windows; when a window drains we
     // refill it from far memory and rebuild (refills are rare:
     // total/block_elements per part).
-    T* far_out = out.data() + out_begin;
+    T* far_out = out.data() + parts[p].out_begin;
     std::size_t out_fill = 0;
     auto flush_out = [&] {
       std::copy(out_block.data(), out_block.data() + out_fill, far_out);
@@ -209,50 +214,15 @@ void external_multiway_merge_split(
     std::span<mlm::sort::Record<N>> out, std::size_t block_elements,
     CopyMode payload_mode = CopyMode::Auto) {
   using Rec = mlm::sort::Record<N>;
-  using mlm::sort::Run;
-  std::size_t total = 0;
-  for (const auto& r : runs) total += r.size();
-  MLM_REQUIRE(out.size() == total, "output size must equal total runs");
-  MLM_REQUIRE(block_elements >= 1, "block must hold at least one element");
-  if (total == 0) return;
-
-  const std::size_t k = runs.size();
-  const std::size_t block_bytes =
-      round_up(block_elements * sizeof(Rec), kCacheLineBytes);
-  const std::size_t per_part_bytes = (k + 1) * block_bytes;
-  std::size_t parts = std::min(pool.size(),
-                               std::max<std::size_t>(total / 4096, 1));
-  if (!staging.unlimited()) {
-    const std::size_t cap = staging.stats().free_bytes();
-    MLM_REQUIRE(per_part_bytes <= cap,
-                "staging space cannot hold even one part's merge blocks");
-    parts = std::min(parts, cap / per_part_bytes);
-  }
-  parts = std::max<std::size_t>(parts, 1);
-
   // Same exact output split points as the AoS path (records compare by
   // key with (value, run, position) ties), so the layouts agree element
   // for element.
-  std::vector<std::vector<std::size_t>> bounds(parts + 1);
-  bounds[0].assign(k, 0);
-  for (std::size_t p = 1; p < parts; ++p) {
-    bounds[p] = mlm::sort::multiseq_partition(runs, total * p / parts);
-  }
-  bounds[parts].resize(k);
-  for (std::size_t i = 0; i < k; ++i) bounds[parts][i] = runs[i].size();
+  auto parts = external_sort_detail::plan_merge_parts(
+      pool, staging, runs, out.size(), block_elements, std::less<>{});
+  const std::size_t k = runs.size();
 
-  parallel_for(pool, 0, parts, [&](std::size_t p) {
-    struct Cursor {
-      const Rec* next;
-      const Rec* end;
-    };
-    std::vector<Cursor> cursors(k);
-    std::size_t out_begin = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      cursors[i] = {runs[i].data() + bounds[p][i],
-                    runs[i].data() + bounds[p + 1][i]};
-      out_begin += bounds[p][i];
-    }
+  parallel_for(pool, 0, parts.size(), [&](std::size_t p) {
+    auto& cursors = parts[p].cursors;
 
     // Staging blocks: k record windows + 1 record output block, plus a
     // transient key mirror per window on the host heap.
@@ -283,7 +253,7 @@ void external_multiway_merge_split(
     };
     for (std::size_t i = 0; i < k; ++i) refill(i);
 
-    Rec* far_out = out.data() + out_begin;
+    Rec* far_out = out.data() + parts[p].out_begin;
     std::size_t out_fill = 0;
     auto flush_out = [&] {
       copy_bytes(far_out, out_block.data(), out_fill * sizeof(Rec),
@@ -578,36 +548,15 @@ class ExternalMlmSorter {
       // Recovery rungs 1+2 for the DDR staging buffer: retry transient
       // exhaustion, then halve the outer chunk until it fits or hits
       // the policy floor (mlm/core/degrade.h).
-      const std::size_t floor_elems = std::max<std::size_t>(
-          s_.config_.degrade.min_chunk_bytes / sizeof(T), 1);
-      for (std::size_t attempt = 0;;) {
-        try {
-          ddr_buf_.emplace(s_.ddr(), outer);
-          break;
-        } catch (OutOfMemoryError& e) {
-          if (attempt < s_.config_.degrade.max_retries) {
-            ++attempt;
-            ++stats_.retries;
-            s_.record_degradation(stats_, "sort.external.ddr_staging",
-                                  "retry", -1, attempt);
-            s_.backoff(attempt);
-            continue;
-          }
-          if (s_.config_.degrade.allow_chunk_halving &&
-              outer / 2 >= floor_elems) {
-            outer /= 2;
-            attempt = 0;
-            ++stats_.outer_chunk_halvings;
-            s_.record_degradation(stats_, "sort.external.ddr_staging",
-                                  "chunk_halved", -1, 0);
-            continue;
-          }
-          e.with_frame({"ddr_staging_alloc", -1, s_.ddr().name(),
-                        "orchestrator",
-                        "outer_chunk_elements=" + std::to_string(outer)});
-          throw;
-        }
-      }
+      ladder_.run<OutOfMemoryError>(
+          external_sort_detail::kDdrStagingSite, -1,
+          {.chunk = &outer, .unit_bytes = sizeof(T)},
+          [&] { ddr_buf_.emplace(s_.ddr(), outer); },
+          [&](Error& e, std::size_t) {
+            e.with_frame({"ddr_staging_alloc", -1, s_.ddr().name(),
+                          "orchestrator",
+                          "outer_chunk_elements=" + std::to_string(outer)});
+          });
 
       chunks_ = chunk_ranges(data_.size(), outer);
       stats_.outer_chunks = chunks_.size();
@@ -649,26 +598,15 @@ class ExternalMlmSorter {
 
       // Rung 1 only for the staging buffer: the buffer must hold the
       // largest checkpointed chunk to redo it, so halving cannot apply.
-      for (std::size_t attempt = 0;;) {
-        try {
-          ddr_buf_.emplace(s_.ddr(), max_elems);
-          break;
-        } catch (OutOfMemoryError& e) {
-          if (attempt < s_.config_.degrade.max_retries) {
-            ++attempt;
-            ++stats_.retries;
-            s_.record_degradation(stats_, "sort.external.ddr_staging",
-                                  "retry", -1, attempt);
-            s_.backoff(attempt);
-            continue;
-          }
-          e.with_frame({"ddr_staging_alloc", -1, s_.ddr().name(),
-                        "orchestrator",
-                        "restore outer_chunk_elements=" +
-                            std::to_string(max_elems)});
-          throw;
-        }
-      }
+      ladder_.run<OutOfMemoryError>(
+          external_sort_detail::kDdrStagingSite, -1, {},
+          [&] { ddr_buf_.emplace(s_.ddr(), max_elems); },
+          [&](Error& e, std::size_t) {
+            e.with_frame({"ddr_staging_alloc", -1, s_.ddr().name(),
+                          "orchestrator",
+                          "restore outer_chunk_elements=" +
+                              std::to_string(max_elems)});
+          });
       MlmSortConfig inner_cfg = s_.config_.inner;
       if (ckpt.inner_tier_fallback) {
         inner_cfg.variant = MlmVariant::DdrOnly;
@@ -740,15 +678,15 @@ class ExternalMlmSorter {
     }
 
     void run_step() {
-      using namespace external_sort_detail;
+      using namespace fault::sites;
       const IndexRange& c = chunks_[std::min(index_, chunks_.size() - 1)];
       const std::uint64_t bytes = c.size() * sizeof(T);
       const auto chunk_idx = static_cast<std::int64_t>(index_);
 
       switch (phase_) {
         case Phase::StageIn: {
-          s_.phase_guard(stats_, stage_in_site(), "stage_in", chunk_idx,
-                         s_.ddr().name());
+          ladder_.guard<kExternalSortStageIn>("stage_in", chunk_idx,
+                                              s_.ddr().name());
           const double t_in = s_.trace_now();
           try {
             parallel_memcpy(s_.pool_, ddr_buf_->data(),
@@ -770,26 +708,24 @@ class ExternalMlmSorter {
           const double t_sort = s_.trace_now();
           try {
             if (!stats_.inner_tier_fallback) {
-              s_.phase_guard(stats_, inner_sort_site(), "inner_sort",
-                             chunk_idx, s_.mcdram().name());
+              ladder_.guard<kExternalSortInner>("inner_sort", chunk_idx,
+                                                s_.mcdram().name());
             }
             stats_.last_inner =
                 inner_->sort(std::span<T>(ddr_buf_->data(), c.size()));
           } catch (Error& e) {
-            if (!s_.config_.degrade.allow_tier_fallback ||
-                stats_.inner_tier_fallback) {
-              e.with_frame({"inner_sort", chunk_idx, s_.mcdram().name(),
-                            "orchestrator", ""});
-              throw;
-            }
             // Rung 3, the HBW_POLICY_PREFERRED analogue: recreate the
             // inner sorter DDR-only and redo this chunk without MCDRAM.
             // The failed sort may have left the staged copy partially
             // permuted, so re-stage from NVM (still the untouched
             // original) first.
+            if (stats_.inner_tier_fallback ||
+                !ladder_.fall_back(kExternalSortInner, chunk_idx)) {
+              e.with_frame({"inner_sort", chunk_idx, s_.mcdram().name(),
+                            "orchestrator", ""});
+              throw;
+            }
             stats_.inner_tier_fallback = true;
-            s_.record_degradation(stats_, fault::sites::kExternalSortInner,
-                                  "tier_fallback", chunk_idx, 0);
             MlmSortConfig ddr_cfg = s_.config_.inner;
             ddr_cfg.variant = MlmVariant::DdrOnly;
             inner_.emplace(s_.upper_, s_.pool_, ddr_cfg, s_.comp_);
@@ -808,8 +744,8 @@ class ExternalMlmSorter {
           break;
         }
         case Phase::StageOut: {
-          s_.phase_guard(stats_, stage_out_site(), "stage_out", chunk_idx,
-                         s_.nvm().name());
+          ladder_.guard<kExternalSortStageOut>("stage_out", chunk_idx,
+                                               s_.nvm().name());
           const double t_out = s_.trace_now();
           try {
             // Outbound runs are dead to the DDR working set: stream
@@ -841,8 +777,7 @@ class ExternalMlmSorter {
         }
         case Phase::Merge: {
           // External k-way merge of the NVM runs into an NVM scratch.
-          s_.phase_guard(stats_, merge_site(), "merge", -1,
-                         s_.nvm().name());
+          ladder_.guard<kExternalSortMerge>("merge", -1, s_.nvm().name());
           t_merge_ = s_.trace_now();
           try {
             nvm_out_.emplace(s_.nvm(), data_.size());
@@ -909,6 +844,11 @@ class ExternalMlmSorter {
     ExternalMlmSorter& s_;
     std::span<T> data_;
     ExternalSortStats stats_;
+    /// Deterministic executors never back off.  No fallback counter: the
+    /// inner-sort rung sets stats_.inner_tier_fallback itself.
+    RecoveryLadder ladder_{s_.config_.degrade, !s_.pool_.deterministic(),
+                           stats_.degradations, stats_.retries,
+                           &stats_.outer_chunk_halvings};
     Stopwatch total_;
     std::optional<SpaceBuffer<T>> ddr_buf_;
     std::vector<IndexRange> chunks_;
@@ -941,44 +881,6 @@ class ExternalMlmSorter {
   MemorySpace& nvm() { return hier_.tier(0); }
   MemorySpace& ddr() { return hier_.tier(1); }
   MemorySpace& mcdram() { return hier_.tier(2); }
-
-  void backoff(std::size_t attempt) const {
-    const std::size_t us = config_.degrade.delay_us(attempt);
-    if (us == 0) return;
-    std::this_thread::sleep_for(std::chrono::microseconds(us));
-  }
-
-  void record_degradation(ExternalSortStats& stats, std::string site,
-                          std::string action, std::int64_t chunk,
-                          std::size_t attempt) const {
-    stats.degradations.push_back(
-        DegradationEvent{std::move(site), std::move(action), chunk,
-                         attempt});
-  }
-
-  /// Phase-launch fault guard: runs before the phase moves any data, so
-  /// a retry re-attempts from a clean state; exhausted retries throw an
-  /// error naming the phase, outer chunk, and tier.
-  void phase_guard(ExternalSortStats& stats, fault::FaultSite& site,
-                   const char* op, std::int64_t chunk,
-                   const std::string& tier) const {
-    std::size_t attempt = 0;
-    while (site.should_fire()) {
-      if (attempt < config_.degrade.max_retries) {
-        ++attempt;
-        ++stats.retries;
-        record_degradation(stats, site.name(), "retry", chunk, attempt);
-        backoff(attempt);
-        continue;
-      }
-      fault::InjectedFaultError err("injected fault at site '" +
-                                    site.name() + "'");
-      err.with_frame({op, chunk, tier, "orchestrator",
-                      "retries exhausted after " +
-                          std::to_string(attempt) + " attempts"});
-      throw err;
-    }
-  }
 
   double trace_now() const {
     return config_.trace_epoch != nullptr ? config_.trace_epoch->elapsed_s()

@@ -1,10 +1,8 @@
 #include "mlm/core/chunk_pipeline.h"
 
 #include <algorithm>
-#include <chrono>
 #include <future>
 #include <optional>
-#include <thread>
 
 #include "mlm/core/pipeline_validator.h"
 #include "mlm/fault/fault.h"
@@ -58,22 +56,12 @@ std::size_t buffer_count(Buffering b) {
   return 3;
 }
 
-// One static site per pipeline failure class (mlm/fault/fault.h); a
-// query is a single relaxed atomic load unless a plan is installed.
+// Static sites for the pipeline failure classes that are not stage
+// launches (mlm/fault/fault.h; the stage sites live in the recovery
+// ladder's guard).  A query is a single relaxed atomic load unless a
+// plan is installed.
 fault::FaultSite& buffer_alloc_fault_site() {
   static fault::FaultSite site(fault::sites::kPipelineBufferAlloc);
-  return site;
-}
-fault::FaultSite& copy_in_fault_site() {
-  static fault::FaultSite site(fault::sites::kPipelineCopyIn);
-  return site;
-}
-fault::FaultSite& compute_fault_site() {
-  static fault::FaultSite site(fault::sites::kPipelineCompute);
-  return site;
-}
-fault::FaultSite& copy_out_fault_site() {
-  static fault::FaultSite site(fault::sites::kPipelineCopyOut);
   return site;
 }
 fault::FaultSite& skip_copy_out_wait_site() {
@@ -139,6 +127,11 @@ struct ChunkPipelineStepper::Impl {
   std::optional<TriplePools> pools;
 
   PipelineStats stats;
+  /// Deterministic runs never back off: schedule exploration must stay a
+  /// pure function of the seed.
+  RecoveryLadder ladder{config.degrade, config.scheduler == nullptr,
+                        stats.degradations, stats.retries,
+                        &stats.chunk_halvings, &stats.tier_fallbacks};
   Stopwatch total;
   std::size_t s = 0;  ///< next step index
   bool complete = false;
@@ -188,11 +181,7 @@ struct ChunkPipelineStepper::Impl {
     }
     MLM_REQUIRE(chunk_bytes > 0, "chunk size must be positive");
 
-    if (explicit_copies) {
-      allocate_buffers_or_fall_back();
-    } else {
-      in_place = true;
-    }
+    in_place = !explicit_copies || !allocate_buffers();
 
     num_chunks = (data.size() + chunk_bytes - 1) / chunk_bytes;
     stats.chunks = num_chunks;
@@ -240,78 +229,35 @@ struct ChunkPipelineStepper::Impl {
     }
   }
 
-  void record_degradation(std::string site, std::string action,
-                          std::int64_t chunk, std::size_t attempt) {
-    stats.degradations.push_back(DegradationEvent{
-        std::move(site), std::move(action), chunk, attempt});
-  }
-
-  // Doubling backoff before a retry.  Deterministic runs never sleep:
-  // schedule exploration must stay a pure function of the seed.
-  void backoff(std::size_t attempt) const {
-    if (config.scheduler != nullptr) return;
-    const std::size_t us = config.degrade.delay_us(attempt);
-    if (us == 0) return;
-    std::this_thread::sleep_for(std::chrono::microseconds(us));
-  }
-
   // Flat / hybrid: allocate the chunk buffers in the near tier, walking
-  // the recovery ladder on exhaustion (real or injected): retry for
-  // transient pressure, halve the chunk size down to the policy floor,
-  // and finally fall back to in-place far-tier compute — the
-  // HBW_POLICY_PREFERRED analogue.
-  void allocate_buffers_or_fall_back() {
-    buffers.reserve(bufs);
-    for (std::size_t attempt = 0;;) {
-      try {
-        if (buffer_alloc_fault_site().should_fire()) {
-          throw OutOfMemoryError(
-              "injected near-tier exhaustion at site '" +
-              std::string(fault::sites::kPipelineBufferAlloc) + "'");
-        }
-        while (buffers.size() < bufs) {
-          buffers.emplace_back(*tiers.near_tier, chunk_bytes);
-        }
-        return;
-      } catch (OutOfMemoryError& e) {
-        buffers.clear();  // release partial progress before degrading
-        if (attempt < config.degrade.max_retries) {
-          ++attempt;
-          ++stats.retries;
-          record_degradation(fault::sites::kPipelineBufferAlloc, "retry",
-                             -1, attempt);
-          backoff(attempt);
-          continue;
-        }
-        const std::size_t floor_bytes = std::max<std::size_t>(
-            config.degrade.min_chunk_bytes, kCacheLineBytes);
-        const std::size_t halved =
-            round_down(chunk_bytes / 2, kCacheLineBytes);
-        if (config.degrade.allow_chunk_halving && halved >= floor_bytes) {
-          chunk_bytes = halved;
-          attempt = 0;
-          ++stats.chunk_halvings;
-          record_degradation(fault::sites::kPipelineBufferAlloc,
-                             "chunk_halved", -1, 0);
-          continue;
-        }
-        if (config.degrade.allow_tier_fallback) {
-          // Rung 3: process the data where it already lives (the far
-          // tier) — exactly what PREFERRED would have done.
-          ++stats.tier_fallbacks;
-          record_degradation(fault::sites::kPipelineBufferAlloc,
-                             "tier_fallback", -1, 0);
-          in_place = true;
-          return;
-        }
-        e.with_frame(
-            {"buffer_alloc", -1, near_name, "orchestrator",
-             "chunk_bytes=" + std::to_string(chunk_bytes) + " buffers=" +
-                 std::to_string(bufs)});
-        e.with_frame({"run_chunk_pipeline", -1, near_name, "", ""});
-        throw;
-      }
-    }
+  // the whole recovery ladder on exhaustion (real or injected).  False
+  // when rung 3 fell back: the data is then processed where it already
+  // lives (the far tier) — exactly what HBW_POLICY_PREFERRED would do.
+  bool allocate_buffers() {
+    return ladder.run<OutOfMemoryError>(
+        fault::sites::kPipelineBufferAlloc, -1,
+        {.chunk = &chunk_bytes, .fall_back = true},
+        [&] {
+          if (buffer_alloc_fault_site().should_fire()) {
+            throw OutOfMemoryError(
+                "injected near-tier exhaustion at site '" +
+                std::string(fault::sites::kPipelineBufferAlloc) + "'");
+          }
+          // A partial set is released before the ladder moves on.
+          std::vector<Allocation> fresh;
+          fresh.reserve(bufs);
+          while (fresh.size() < bufs) {
+            fresh.emplace_back(*tiers.near_tier, chunk_bytes);
+          }
+          buffers = std::move(fresh);
+        },
+        [&](Error& e, std::size_t) {
+          e.with_frame(
+              {"buffer_alloc", -1, near_name, "orchestrator",
+               "chunk_bytes=" + std::to_string(chunk_bytes) + " buffers=" +
+                   std::to_string(bufs)});
+          e.with_frame({"run_chunk_pipeline", -1, near_name, "", ""});
+        });
   }
 
   std::span<std::byte> chunk_range(std::size_t c) const {
@@ -326,35 +272,14 @@ struct ChunkPipelineStepper::Impl {
     if (validator != nullptr) validator->release(st, c, c % bufs);
   }
 
-  // Stage-launch fault guard.  Runs before the stage acquires its buffer
-  // or posts any slice, so a retry re-attempts from a clean state; when
-  // retries are exhausted the error names the stage, chunk, and tier.
-  void stage_guard(fault::FaultSite& site, const char* op, std::size_t c) {
-    std::size_t attempt = 0;
-    while (site.should_fire()) {
-      if (attempt < config.degrade.max_retries) {
-        ++attempt;
-        ++stats.retries;
-        record_degradation(site.name(), "retry",
-                           static_cast<std::int64_t>(c), attempt);
-        backoff(attempt);
-        continue;
-      }
-      fault::InjectedFaultError err("injected fault at site '" +
-                                    site.name() + "'");
-      err.with_frame({op, static_cast<std::int64_t>(c), near_name,
-                      "orchestrator",
-                      "retries exhausted after " +
-                          std::to_string(attempt) + " attempts"});
-      throw err;
-    }
-  }
-
   // Task-level failures (thrown by pool workers, surfaced at the join /
   // inside compute) get annotated with the same stage context.
   void annotate(Error& e, const char* op, std::size_t c,
                 const char* thread) const {
-    e.with_frame({op, static_cast<std::int64_t>(c), near_name, thread, ""});
+    e.with_frame({op, chunk_index(c), near_name, thread, ""});
+  }
+  static std::int64_t chunk_index(std::size_t c) {
+    return static_cast<std::int64_t>(c);
   }
 
   // The orchestrating thread posts copy slices asynchronously so every
@@ -364,9 +289,12 @@ struct ChunkPipelineStepper::Impl {
   // copies at the step barrier.  Joins go through Executor::wait so a
   // DeterministicExecutor can run its tasks while the orchestrator
   // blocks.  A buffer is owned (validator-acquired) from slice posting
-  // until its join.
+  // until its join.  Each stage's launch guard runs before the stage
+  // acquires its buffer or posts any slice, so a retry re-attempts from
+  // a clean state.
   std::vector<std::future<void>> copy_in_async(std::size_t c) {
-    stage_guard(copy_in_fault_site(), "copy_in", c);
+    ladder.guard<fault::sites::kPipelineCopyIn>("copy_in", chunk_index(c),
+                                                near_name);
     auto src = chunk_range(c);
     vacquire(PipelineStage::CopyIn, c);
     stats.bytes_copied_in += src.size();
@@ -374,7 +302,8 @@ struct ChunkPipelineStepper::Impl {
                                  src.data(), src.size());
   }
   void run_compute(std::size_t c) {
-    stage_guard(compute_fault_site(), "compute", c);
+    ladder.guard<fault::sites::kPipelineCompute>("compute", chunk_index(c),
+                                                 near_name);
     auto r = chunk_range(c);
     const double t0 = tracer.now();
     vacquire(PipelineStage::Compute, c);
@@ -393,7 +322,8 @@ struct ChunkPipelineStepper::Impl {
     tracer.emit(1, "compute", c, t0, t1);
   }
   std::vector<std::future<void>> copy_out_async(std::size_t c) {
-    stage_guard(copy_out_fault_site(), "copy_out", c);
+    ladder.guard<fault::sites::kPipelineCopyOut>("copy_out", chunk_index(c),
+                                                 near_name);
     auto dst = chunk_range(c);
     vacquire(PipelineStage::CopyOut, c);
     stats.bytes_copied_out += dst.size();

@@ -5,15 +5,17 @@
 // the promotes) and queries the kvstore.migrate.step fault site at
 // every attempt.  Failures — injected, or a real OutOfMemoryError when
 // the near budget is tighter than the planner believed — walk the
-// DegradePolicy ladder:
+// DegradePolicy ladder through core::RecoveryLadder:
 //
 //   1. retry      up to max_retries (transient exhaustion: a co-tenant
-//                 releasing its grant);
+//                 releasing its grant).  Retries never sleep, whatever
+//                 backoff_us says: the move is retried at once;
 //   2. (chunk halving does not apply — the segment is the atom);
 //   3. fall back  with allow_tier_fallback: abandon this move and leave
 //                 the segment where it is.  Record contents are never
 //                 at risk, only placement quality; the abandonment is
-//                 recorded as a DegradationEvent.
+//                 recorded as a "tier_fallback" DegradationEvent with
+//                 attempt 0, like every non-retry rung.
 //
 // With the ladder disabled, the failure propagates as a structured
 // Error naming the segment, direction, and tier.
@@ -100,6 +102,10 @@ class MigrationEngine {
     std::size_t next_ = 0;
     bool finished_ = false;
     MigrationStats stats_;
+    /// Never backs off (may_sleep = false): a migration step is
+    /// interleaved with other jobs, so it retries at once.
+    core::RecoveryLadder ladder_{engine_.policy_, false, stats_.degradations,
+                                 stats_.retries, nullptr, &stats_.abandoned};
   };
 
   /// Run `plan` to completion (the library-mode convenience; service

@@ -34,45 +34,30 @@ void MigrationEngine::Stepper::move_at(std::size_t index) {
   const bool to_near = !demoting;
 
   TieredKvStore& store = engine_.store_;
-  const core::DegradePolicy& policy = engine_.policy_;
-  std::size_t attempt = 0;
-  while (true) {
-    ++attempt;
-    try {
-      site.maybe_throw();
-      store.move_segment(segment, to_near);
-      if (to_near) {
-        ++stats_.promoted;
-      } else {
-        ++stats_.demoted;
-      }
-      stats_.moved_bytes += store.segment_bytes();
-      return;
-    } catch (Error& e) {
-      // Injected fault or a real OutOfMemoryError from the target tier.
-      // Rung 1: retry.  Rung 2 (chunk halving) does not apply — the
-      // segment is the migration atom.  Rung 3: abandon the move.
-      if (attempt <= policy.max_retries) {
-        ++stats_.retries;
-        stats_.degradations.push_back(core::DegradationEvent{
-            fault::sites::kKvMigrateStep, "retry",
-            static_cast<std::int64_t>(segment), attempt});
-        continue;
-      }
-      if (policy.allow_tier_fallback) {
-        ++stats_.abandoned;
-        stats_.degradations.push_back(core::DegradationEvent{
-            fault::sites::kKvMigrateStep, "tier_fallback",
-            static_cast<std::int64_t>(segment), attempt});
-        return;  // segment stays where it is; contents untouched
-      }
-      throw e.with_frame(ErrorFrame{
-          "kv_migrate_step", static_cast<std::int64_t>(segment),
-          to_near ? "near" : "far", "orchestrator",
-          std::string(to_near ? "promote" : "demote") + " failed after " +
-              std::to_string(attempt) + " attempt(s)"});
-    }
+  const auto chunk = static_cast<std::int64_t>(segment);
+  // Injected fault or a real OutOfMemoryError from the target tier.
+  // Chunk halving does not apply — the segment is the migration atom; a
+  // fallback abandons the move and the segment stays where it is.
+  const bool moved = ladder_.run(
+      fault::sites::kKvMigrateStep, chunk, {.fall_back = true},
+      [&] {
+        site.maybe_throw();
+        store.move_segment(segment, to_near);
+      },
+      [&](Error& e, std::size_t retries) {
+        e.with_frame(ErrorFrame{
+            "kv_migrate_step", chunk, to_near ? "near" : "far",
+            "orchestrator",
+            std::string(to_near ? "promote" : "demote") + " failed after " +
+                std::to_string(retries + 1) + " attempt(s)"});
+      });
+  if (!moved) return;
+  if (to_near) {
+    ++stats_.promoted;
+  } else {
+    ++stats_.demoted;
   }
+  stats_.moved_bytes += store.segment_bytes();
 }
 
 bool MigrationEngine::Stepper::step() {

@@ -71,6 +71,8 @@ class ThreadPool : public Executor {
   void wait(std::vector<std::future<void>>& futures) override;
 
   /// Number of tasks executed since construction (for tests/diagnostics).
+  /// A task counts from the moment a worker starts it, so every task
+  /// whose future is ready, or that wait_idle() waited for, is counted.
   std::size_t tasks_executed() const override;
 
   /// How the construction-time pin plan went (all zeros for the

@@ -62,6 +62,10 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
       ++active_;
+      // Counted before the task runs: a submit() task completes its
+      // future from inside task(), and a caller who has seen the future
+      // must also see the count.
+      ++executed_;
     }
     try {
       task();
@@ -72,7 +76,6 @@ void ThreadPool::worker_loop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       --active_;
-      ++executed_;
       if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
     }
   }

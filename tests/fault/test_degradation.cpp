@@ -6,13 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "mlm/core/chunk_pipeline.h"
+#include "mlm/core/external_sort.h"
 #include "mlm/fault/fault.h"
+#include "mlm/parallel/deterministic_executor.h"
+#include "mlm/parallel/thread_pool.h"
+#include "mlm/sort/input_gen.h"
+#include "mlm/support/cache_line.h"
+#include "mlm/support/stopwatch.h"
 #include "mlm/support/units.h"
 
 namespace mlm::core {
@@ -189,6 +196,197 @@ TEST(DegradeRetry, ExhaustedStageRetriesThrowWithAttemptCount) {
     EXPECT_NE(chain.front().detail.find("retries exhausted after 2"),
               std::string::npos);
   }
+}
+
+// ---------------------------------------------------------------------
+// External sorter rungs.  The DDR staging buffer is the sort's first
+// MemorySpace allocation, so memory.space.allocate armed with
+// nth_call(0) fails exactly that allocation.
+
+constexpr std::size_t kSortElements = 4000;
+constexpr const char* kDdrStaging = "sort.external.ddr_staging";
+
+// 512 KiB "MCDRAM", 2 MiB "DDR", unlimited NVM.
+TripleSpace small_triple_space() {
+  TripleSpaceConfig cfg;
+  cfg.mode = McdramMode::Flat;
+  cfg.mcdram_bytes = KiB(512);
+  cfg.ddr_bytes = MiB(2);
+  cfg.nvm_bytes = 0;
+  return TripleSpace(cfg);
+}
+
+ExternalSortConfig staging_config() {
+  ExternalSortConfig cfg;
+  cfg.outer_chunk_elements = 1000;  // 8000 B of int64
+  cfg.inner.variant = MlmVariant::Flat;
+  return cfg;
+}
+
+// NVM-resident random input, allocated before any fault plan is armed.
+struct NvmInput {
+  explicit NvmInput(TripleSpace& space) : buf(space.nvm(), kSortElements) {
+    const auto init = sort::make_input(kSortElements,
+                                       sort::InputOrder::Random, 11);
+    std::copy(init.begin(), init.end(), buf.data());
+  }
+  std::span<std::int64_t> span() {
+    return std::span<std::int64_t>(buf.data(), kSortElements);
+  }
+  bool sorted() const {
+    return std::is_sorted(buf.data(), buf.data() + kSortElements);
+  }
+  SpaceBuffer<std::int64_t> buf;
+};
+
+void arm_staging_exhaustion(fault::FaultPlan& plan) {
+  plan.arm(fault::sites::kMemorySpaceAllocate,
+           fault::FaultTrigger::nth_call(0));
+}
+
+TEST(DegradeSorterStaging, TransientExhaustionCostsOneRecordedRetry) {
+  TripleSpace space = small_triple_space();
+  ThreadPool pool(2);
+  NvmInput input(space);
+  ExternalSortConfig cfg = staging_config();
+  cfg.degrade.max_retries = 1;
+  ExternalMlmSorter<std::int64_t> sorter(space, pool, cfg);
+
+  fault::FaultPlan plan;
+  arm_staging_exhaustion(plan);
+  fault::ScopedFaultInjector inject(plan);
+  const ExternalSortStats stats = sorter.sort(input.span());
+
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.outer_chunk_halvings, 0u);
+  ASSERT_EQ(stats.degradations.size(), 1u);
+  EXPECT_EQ(stats.degradations[0].site, kDdrStaging);
+  EXPECT_EQ(stats.degradations[0].action, "retry");
+  EXPECT_EQ(stats.degradations[0].attempt, 1u);
+  EXPECT_TRUE(input.sorted());
+}
+
+TEST(DegradeSorterStaging, HalvingRungShrinksTheOuterChunk) {
+  TripleSpace space = small_triple_space();
+  ThreadPool pool(2);
+  NvmInput input(space);
+  ExternalSortConfig cfg = staging_config();
+  cfg.degrade.allow_chunk_halving = true;
+  cfg.degrade.min_chunk_bytes = 1024;
+  ExternalMlmSorter<std::int64_t> sorter(space, pool, cfg);
+
+  fault::FaultPlan plan;
+  arm_staging_exhaustion(plan);
+  fault::ScopedFaultInjector inject(plan);
+  const ExternalSortStats stats = sorter.sort(input.span());
+
+  EXPECT_EQ(stats.outer_chunk_halvings, 1u);
+  EXPECT_EQ(stats.retries, 0u);
+  ASSERT_EQ(stats.degradations.size(), 1u);
+  EXPECT_EQ(stats.degradations[0].site, kDdrStaging);
+  EXPECT_EQ(stats.degradations[0].action, "chunk_halved");
+  EXPECT_TRUE(input.sorted());
+}
+
+// Regression: the sorter used to halve the element count (1000 -> 500
+// int64 = 4000 B), breaking the 64-byte-aligned halving rule.
+TEST(DegradeSorterStaging, HalvedOuterChunkStaysCacheLineAligned) {
+  TripleSpace space = small_triple_space();
+  ThreadPool pool(2);
+  NvmInput input(space);
+  ExternalSortConfig cfg = staging_config();
+  cfg.degrade.allow_chunk_halving = true;
+  cfg.degrade.min_chunk_bytes = 1024;
+  ExternalMlmSorter<std::int64_t> sorter(space, pool, cfg);
+
+  fault::FaultPlan plan;
+  arm_staging_exhaustion(plan);
+  fault::ScopedFaultInjector inject(plan);
+  ExternalMlmSorter<std::int64_t>::Stepper stepper(sorter, input.span());
+  const ExternalSortCheckpoint ckpt = stepper.checkpoint();
+
+  // 8000 B halve to 4000 B, rounded down to 3968 B = 496 elements.
+  ASSERT_GE(ckpt.chunk_begins.size(), 2u);
+  EXPECT_EQ(ckpt.chunk_begins[1], 496u);
+  EXPECT_EQ(ckpt.chunk_begins[1] * sizeof(std::int64_t) % kCacheLineBytes,
+            0u);
+  while (stepper.step()) {
+  }
+  EXPECT_EQ(stepper.finish().outer_chunk_halvings, 1u);
+  EXPECT_TRUE(input.sorted());
+}
+
+TEST(DegradeSorterStaging, LadderOffIsAStructuredError) {
+  TripleSpace space = small_triple_space();
+  ThreadPool pool(2);
+  NvmInput input(space);
+  ExternalMlmSorter<std::int64_t> sorter(space, pool, staging_config());
+
+  fault::FaultPlan plan;
+  arm_staging_exhaustion(plan);
+  fault::ScopedFaultInjector inject(plan);
+  try {
+    sorter.sort(input.span());
+    FAIL() << "expected OutOfMemoryError";
+  } catch (const OutOfMemoryError& e) {
+    const auto& chain = e.chain();
+    ASSERT_EQ(chain.size(), 2u);
+    EXPECT_EQ(chain[0].op, "ddr_staging_alloc");
+    EXPECT_EQ(chain[0].tier, space.ddr().name());
+    EXPECT_EQ(chain[0].thread, "orchestrator");
+    EXPECT_EQ(chain[0].detail, "outer_chunk_elements=1000");
+    EXPECT_EQ(chain[1].op, "external_sort");
+  }
+}
+
+// The restore constructor walks the retry rung only; with the ladder
+// off its error names the checkpointed chunk it had to fit.
+TEST(DegradeSorterStaging, RestoreLadderOffNamesTheCheckpointedChunk) {
+  TripleSpace space = small_triple_space();
+  ThreadPool pool(2);
+  NvmInput input(space);
+  ExternalMlmSorter<std::int64_t> sorter(space, pool, staging_config());
+  ExternalSortCheckpoint ckpt;
+  ckpt.chunk_begins = {0, 1000, 2000, 3000, kSortElements};
+
+  fault::FaultPlan plan;
+  arm_staging_exhaustion(plan);
+  fault::ScopedFaultInjector inject(plan);
+  try {
+    ExternalMlmSorter<std::int64_t>::Stepper restored(sorter, input.span(),
+                                                      ckpt);
+    FAIL() << "expected OutOfMemoryError";
+  } catch (const OutOfMemoryError& e) {
+    const auto& chain = e.chain();
+    ASSERT_EQ(chain.size(), 2u);
+    EXPECT_EQ(chain[0].op, "ddr_staging_alloc");
+    EXPECT_EQ(chain[0].detail, "restore outer_chunk_elements=1000");
+    EXPECT_EQ(chain[1].op, "external_sort");
+  }
+}
+
+// Regression: the sorter used to sleep through its backoff even on a
+// deterministic executor, where DegradePolicy promises it never sleeps.
+TEST(DegradeSorterBackoff, DeterministicExecutorNeverSleeps) {
+  TripleSpace space = small_triple_space();
+  DeterministicScheduler sched(3);
+  DeterministicExecutor pool(sched, 2, "pool");
+  NvmInput input(space);
+  ExternalSortConfig cfg = staging_config();
+  cfg.degrade.max_retries = 1;
+  cfg.degrade.backoff_us = 1'000'000;
+  ExternalMlmSorter<std::int64_t> sorter(space, pool, cfg);
+
+  fault::FaultPlan plan;
+  plan.arm(fault::sites::kExternalSortStageIn,
+           fault::FaultTrigger::nth_call(0));
+  fault::ScopedFaultInjector inject(plan);
+  Stopwatch clock;
+  const ExternalSortStats stats = sorter.sort(input.span());
+
+  EXPECT_LT(clock.elapsed_s(), 0.5);
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_TRUE(input.sorted());
 }
 
 // Regression: the doubled backoff must saturate at backoff_cap_us, not
