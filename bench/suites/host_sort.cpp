@@ -72,14 +72,14 @@ void view(const RunReport& report, std::ostream& out) {
 void register_host_sort(Harness& h) {
   Suite suite = h.suite(
       "host_sort",
-      "Host-mode microbenchmarks: serial introsort, funnelsort, "
+      "Host-mode microbenchmarks: serial sort, funnelsort, "
       "multiway merge, parallel sorts, MLM-sort end-to-end");
 
   for (std::size_t n : {std::size_t{1} << 14, std::size_t{1} << 17,
                         std::size_t{1} << 20}) {
     add_sort_case(suite, "serial_introsort/" + std::to_string(n), n,
                   InputOrder::Random, [](std::vector<std::int64_t>& v) {
-                    sort::introsort(v.begin(), v.end());
+                    sort::serial_sort(v.begin(), v.end());
                   });
   }
   for (std::size_t n :
@@ -87,7 +87,7 @@ void register_host_sort(Harness& h) {
     add_sort_case(suite,
                   "serial_introsort_reverse/" + std::to_string(n), n,
                   InputOrder::Reverse, [](std::vector<std::int64_t>& v) {
-                    sort::introsort(v.begin(), v.end());
+                    sort::serial_sort(v.begin(), v.end());
                   });
     add_sort_case(suite, "std_sort/" + std::to_string(n), n,
                   InputOrder::Random, [](std::vector<std::int64_t>& v) {

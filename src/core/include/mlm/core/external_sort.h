@@ -46,65 +46,29 @@ namespace external_sort_detail {
 /// plain MemorySpace allocation, guarded by memory.space.allocate).
 inline constexpr const char* kDdrStagingSite = "sort.external.ddr_staging";
 
-/// One worker's slice of an external merge: per-run far cursors and the
-/// output offset its merged elements start at.
-template <typename T>
-struct MergePart {
-  struct Cursor {
-    const T* next;
-    const T* end;
-  };
-  std::vector<Cursor> cursors;
-  std::size_t out_begin = 0;
-};
-
-/// Part planning shared by both external merges: as many parts as
-/// workers (at most one per 4096 elements) whose staging footprint —
-/// k input blocks + 1 output block, each rounded up to the space's
-/// cache-line allocation granularity — fits in `staging`, each cut at
-/// exact output split points.  Empty when there is nothing to merge.
+/// Part planning shared by both external merges: plan_merge_parts with
+/// the part count clamped so every part's staging footprint — k input
+/// blocks + 1 output block, each rounded up to the space's cache-line
+/// allocation granularity — fits in `staging`.  Empty when there is
+/// nothing to merge.
 template <typename T, typename Comp>
-std::vector<MergePart<T>> plan_merge_parts(
+std::vector<mlm::sort::MergePart<T>> plan_merge_parts(
     Executor& pool, MemorySpace& staging,
     std::span<const mlm::sort::Run<T>> runs, std::size_t out_size,
     std::size_t block_elements, Comp comp) {
-  std::size_t total = 0;
-  for (const auto& r : runs) total += r.size();
-  MLM_REQUIRE(out_size == total, "output size must equal total runs");
   MLM_REQUIRE(block_elements >= 1, "block must hold at least one element");
-  if (total == 0) return {};
-
-  const std::size_t k = runs.size();
-  const std::size_t block_bytes =
-      round_up(block_elements * sizeof(T), kCacheLineBytes);
-  const std::size_t per_part_bytes = (k + 1) * block_bytes;
-  std::size_t parts = std::min(pool.size(),
-                               std::max<std::size_t>(total / 4096, 1));
-  if (!staging.unlimited()) {
+  std::size_t max_parts = pool.size();
+  // An empty merge stages nothing, so it needs no staging room.
+  if (!staging.unlimited() && out_size > 0) {
+    const std::size_t block_bytes =
+        round_up(block_elements * sizeof(T), kCacheLineBytes);
+    const std::size_t per_part_bytes = (runs.size() + 1) * block_bytes;
     const std::size_t cap = staging.stats().free_bytes();
     MLM_REQUIRE(per_part_bytes <= cap,
                 "staging space cannot hold even one part's merge blocks");
-    parts = std::min(parts, cap / per_part_bytes);
+    max_parts = std::min(max_parts, cap / per_part_bytes);
   }
-  parts = std::max<std::size_t>(parts, 1);
-
-  std::vector<MergePart<T>> plan(parts);
-  std::vector<std::size_t> lo(k, 0);
-  for (std::size_t p = 0; p < parts; ++p) {
-    std::vector<std::size_t> hi(k);
-    if (p + 1 < parts) {
-      hi = mlm::sort::multiseq_partition(runs, total * (p + 1) / parts, comp);
-    } else {
-      for (std::size_t i = 0; i < k; ++i) hi[i] = runs[i].size();
-    }
-    plan[p].cursors.resize(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      plan[p].cursors[i] = {runs[i].data() + lo[i], runs[i].data() + hi[i]};
-      plan[p].out_begin += lo[i];
-    }
-    lo = std::move(hi);
-  }
-  return plan;
+  return mlm::sort::plan_merge_parts(runs, out_size, max_parts, comp);
 }
 }  // namespace external_sort_detail
 
@@ -126,8 +90,8 @@ void external_multiway_merge(Executor& pool, MemorySpace& staging,
   const std::size_t k = runs.size();
 
   parallel_for(pool, 0, parts.size(), [&](std::size_t p) {
-    // Per-run far cursors for this part's slice.
-    auto& cursors = parts[p].cursors;
+    // This part's far slice of each run, consumed front to back.
+    auto& far = parts[p].slices;
 
     // Staging blocks: k input windows + 1 output block.
     std::vector<SpaceBuffer<T>> in_blocks;
@@ -140,12 +104,9 @@ void external_multiway_merge(Executor& pool, MemorySpace& staging,
     // Window state: [win_cur, win_end) inside in_blocks[i].
     std::vector<std::pair<std::size_t, std::size_t>> win(k, {0, 0});
     auto refill = [&](std::size_t i) {
-      const auto avail = static_cast<std::size_t>(cursors[i].end -
-                                                  cursors[i].next);
-      const std::size_t n = std::min(avail, block_elements);
-      std::copy(cursors[i].next, cursors[i].next + n,
-                in_blocks[i].data());
-      cursors[i].next += n;
+      const std::size_t n = std::min(far[i].size(), block_elements);
+      std::copy(far[i].begin(), far[i].begin() + n, in_blocks[i].data());
+      far[i] = far[i].subspan(n);
       win[i] = {0, n};
     };
     for (std::size_t i = 0; i < k; ++i) refill(i);
@@ -183,7 +144,7 @@ void external_multiway_merge(Executor& pool, MemorySpace& staging,
       win[src].first += got;
       if (out_fill == block_elements) flush_out();
       if (win[src].first == win[src].second &&
-          cursors[src].next != cursors[src].end) {
+          !far[src].empty()) {
         // Window drained but far data remains: refill and rebuild.
         refill(src);
         reseat();
@@ -222,7 +183,7 @@ void external_multiway_merge_split(
   const std::size_t k = runs.size();
 
   parallel_for(pool, 0, parts.size(), [&](std::size_t p) {
-    auto& cursors = parts[p].cursors;
+    auto& far = parts[p].slices;
 
     // Staging blocks: k record windows + 1 record output block, plus a
     // transient key mirror per window on the host heap.
@@ -238,17 +199,15 @@ void external_multiway_merge_split(
     // Window state: [win_cur, win_end) inside in_blocks[i] / key_win[i].
     std::vector<std::pair<std::size_t, std::size_t>> win(k, {0, 0});
     auto refill = [&](std::size_t i) {
-      const auto avail = static_cast<std::size_t>(cursors[i].end -
-                                                  cursors[i].next);
-      const std::size_t n = std::min(avail, block_elements);
-      copy_bytes(in_blocks[i].data(), cursors[i].next, n * sizeof(Rec),
+      const std::size_t n = std::min(far[i].size(), block_elements);
+      copy_bytes(in_blocks[i].data(), far[i].data(), n * sizeof(Rec),
                  payload_mode);
       // Extract the key mirror while the freshly staged records are
       // still warm — the only pass that reads them before copy-out.
       for (std::size_t j = 0; j < n; ++j) {
         key_win[i][j] = in_blocks[i].data()[j].key;
       }
-      cursors[i].next += n;
+      far[i] = far[i].subspan(n);
       win[i] = {0, n};
     };
     for (std::size_t i = 0; i < k; ++i) refill(i);
@@ -288,7 +247,7 @@ void external_multiway_merge_split(
       win[src].first += got;
       if (out_fill == block_elements) flush_out();
       if (win[src].first == win[src].second &&
-          cursors[src].next != cursors[src].end) {
+          !far[src].empty()) {
         refill(src);
         reseat();
       }

@@ -6,7 +6,7 @@
 //   1. copy it into MCDRAM (flat mode only; all threads copy — the paper
 //      leaves buffering the megachunk pipeline as future work),
 //   2. divide it into maximally-sized chunks, one per thread, and sort
-//      each chunk with the best available *serial* sort (our introsort;
+//      each chunk with the best available *serial* sort (std::sort;
 //      MLM-sort deliberately avoids relying on multithreaded sort
 //      scaling to hundreds of cores),
 //   3. run a parallel multiway merge of the per-thread runs, writing the

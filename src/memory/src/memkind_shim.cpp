@@ -5,7 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "mlm/fault/fault.h"
 #include "mlm/memory/memory_space.h"
@@ -15,15 +15,26 @@ namespace {
 // Atomic so mlm_hbw_set_space is safe against concurrent mlm_hbw_malloc
 // (an allocation races the install and sees either the old or the new
 // space, never a torn pointer).  Swapping spaces while allocations from
-// the old space are still live is fine: mlm_hbw_free routes fallback
-// pointers by the g_fallback_ptrs set and space pointers by ownership.
+// the old space are still live is fine: mlm_hbw_free routes every
+// pointer through g_owner to whatever produced it.
 std::atomic<mlm::MemorySpace*> g_space{nullptr};
 std::atomic<mlm_hbw_policy> g_policy{MLM_HBW_POLICY_PREFERRED};
 
-// Pointers handed out by the heap fallback, so mlm_hbw_free can route
-// frees correctly even if the space is swapped between malloc and free.
-std::mutex g_fallback_mu;
-std::unordered_set<void*> g_fallback_ptrs;
+// Live pointers and the space that produced each (nullptr = the heap
+// fallback), so mlm_hbw_free routes frees correctly even if the space is
+// swapped between malloc and free.  A block leaked into a space that is
+// later destroyed leaves a stale entry; the next time the shim hands out
+// that address, track() overwrites it with the new owner.
+std::mutex g_owner_mu;
+std::unordered_map<void*, mlm::MemorySpace*> g_owner;
+
+void* track(void* p, mlm::MemorySpace* owner) {
+  if (p != nullptr) {
+    std::lock_guard<std::mutex> lock(g_owner_mu);
+    g_owner[p] = owner;
+  }
+  return p;
+}
 
 // Simulated HBW exhaustion: when armed, the space behaves as full for
 // this call — nullptr/ENOMEM under BIND, heap fallback under PREFERRED —
@@ -52,18 +63,13 @@ void* mlm_hbw_malloc(size_t size) {
     void* p = malloc_fault_site().should_fire()
                   ? nullptr
                   : space->try_allocate(size);
-    if (p != nullptr) return p;
+    if (p != nullptr) return track(p, space);
     if (g_policy.load(std::memory_order_relaxed) == MLM_HBW_POLICY_BIND) {
       return nullptr;
     }
     // PREFERRED: fall through to heap.
   }
-  void* p = std::malloc(size != 0 ? size : 1);
-  if (p != nullptr) {
-    std::lock_guard<std::mutex> lock(g_fallback_mu);
-    g_fallback_ptrs.insert(p);
-  }
-  return p;
+  return track(std::malloc(size != 0 ? size : 1), nullptr);
 }
 
 void* mlm_hbw_calloc(size_t num, size_t size) {
@@ -76,17 +82,24 @@ void* mlm_hbw_calloc(size_t num, size_t size) {
 
 void mlm_hbw_free(void* ptr) {
   if (ptr == nullptr) return;
+  // A pointer the shim did not hand out goes to the installed space,
+  // which ignores pointers it does not own.
+  mlm::MemorySpace* owner = g_space.load(std::memory_order_acquire);
+  bool heap = false;
   {
-    std::lock_guard<std::mutex> lock(g_fallback_mu);
-    auto it = g_fallback_ptrs.find(ptr);
-    if (it != g_fallback_ptrs.end()) {
-      g_fallback_ptrs.erase(it);
-      std::free(ptr);
-      return;
+    std::lock_guard<std::mutex> lock(g_owner_mu);
+    auto it = g_owner.find(ptr);
+    if (it != g_owner.end()) {
+      owner = it->second;
+      heap = owner == nullptr;
+      g_owner.erase(it);
     }
   }
-  mlm::MemorySpace* space = g_space.load(std::memory_order_acquire);
-  if (space != nullptr) space->deallocate(ptr);
+  if (heap) {
+    std::free(ptr);
+  } else if (owner != nullptr) {
+    owner->deallocate(ptr);
+  }
 }
 
 int mlm_hbw_posix_memalign(void** memptr, size_t alignment,
@@ -105,7 +118,7 @@ int mlm_hbw_posix_memalign(void** memptr, size_t alignment,
                   ? nullptr
                   : space->try_allocate(size);
     if (p != nullptr) {
-      *memptr = p;
+      *memptr = track(p, space);
       return 0;
     }
     if (g_policy.load(std::memory_order_relaxed) == MLM_HBW_POLICY_BIND) {
@@ -116,11 +129,7 @@ int mlm_hbw_posix_memalign(void** memptr, size_t alignment,
   if (posix_memalign(&p, alignment, size != 0 ? size : alignment) != 0) {
     return ENOMEM;
   }
-  {
-    std::lock_guard<std::mutex> lock(g_fallback_mu);
-    g_fallback_ptrs.insert(p);
-  }
-  *memptr = p;
+  *memptr = track(p, nullptr);
   return 0;
 }
 
@@ -128,8 +137,9 @@ int mlm_hbw_verify(void* ptr) {
   mlm::MemorySpace* space = g_space.load(std::memory_order_acquire);
   if (ptr == nullptr || space == nullptr) return 0;
   {
-    std::lock_guard<std::mutex> lock(g_fallback_mu);
-    if (g_fallback_ptrs.count(ptr) != 0) return 0;
+    std::lock_guard<std::mutex> lock(g_owner_mu);
+    const auto it = g_owner.find(ptr);
+    if (it != g_owner.end() && it->second == nullptr) return 0;
   }
   // Route through deallocate's ownership check indirectly: the space
   // tracks live allocations; probe via stats-safe interface.

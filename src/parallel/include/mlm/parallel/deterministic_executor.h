@@ -120,8 +120,10 @@ class DeterministicExecutor : public Executor {
   /// Enqueue pre-wrapped non-throwing tasks (see Executor::post_bulk):
   /// each stays an individually schedulable unit with its own
   /// "<name>#<seq>" tag, so submit_slices batches permute under seeded
-  /// schedules exactly like per-task submits did.
-  void post_bulk(std::vector<std::function<void()>> tasks) override;
+  /// schedules exactly like per-task submits did.  Tasks this
+  /// executor's destructor drops unrun are reported to `on_drop`.
+  void post_bulk(std::vector<std::function<void()>> tasks,
+                 std::function<void(std::size_t)> on_drop) override;
 
   /// Drives the scheduler until this executor has no runnable tasks
   /// (other executors' tasks may execute along the way — that is the

@@ -61,8 +61,13 @@ class Executor {
   /// the tasks must not throw (submit_slices' wrappers catch
   /// internally, fault sites included) — implementations enqueue them
   /// raw, with no per-task fault-site or error instrumentation, and
-  /// count each toward tasks_executed().
-  virtual void post_bulk(std::vector<std::function<void()>> tasks) = 0;
+  /// count each toward tasks_executed().  An executor that discards
+  /// queued tasks unrun (a DeterministicExecutor's destructor) calls
+  /// `on_drop(n)` once with the number of this batch's tasks it
+  /// discarded, so the batch can release what they would have freed;
+  /// `on_drop` may be empty.
+  virtual void post_bulk(std::vector<std::function<void()>> tasks,
+                         std::function<void(std::size_t)> on_drop) = 0;
 
   /// Block until the queue is empty and all workers are idle.  Rethrows
   /// the first exception captured from a post()ed task, if any.

@@ -59,8 +59,10 @@ class ThreadPool : public Executor {
 
   /// Enqueue pre-wrapped non-throwing tasks under one lock acquisition
   /// and one wakeup broadcast (the submit_slices fast path; see
-  /// Executor::post_bulk for the contract).
-  void post_bulk(std::vector<std::function<void()>> tasks) override;
+  /// Executor::post_bulk for the contract).  The pool runs every queued
+  /// task before its workers exit, so it never calls `on_drop`.
+  void post_bulk(std::vector<std::function<void()>> tasks,
+                 std::function<void(std::size_t)> on_drop) override;
 
   /// Block until the queue is empty and all workers are idle.  Rethrows
   /// the first exception captured from a post()ed task, if any.

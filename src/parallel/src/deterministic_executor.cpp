@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -116,12 +117,27 @@ std::future<void> DeterministicExecutor::submit(std::function<void()> task) {
 }
 
 void DeterministicExecutor::post_bulk(
-    std::vector<std::function<void()>> tasks) {
+    std::vector<std::function<void()>> tasks,
+    std::function<void(std::size_t)> on_drop) {
+  // The batch's tasks that have not run yet.  When the scheduler
+  // destroys the last of them unrun (drop_tasks), this reports how many
+  // never ran.
+  struct Unrun {
+    std::size_t count = 0;
+    std::function<void(std::size_t)> on_drop;
+    ~Unrun() {
+      if (count > 0 && on_drop) on_drop(count);
+    }
+  };
+  auto unrun = std::make_shared<Unrun>();
+  unrun->count = tasks.size();
+  unrun->on_drop = std::move(on_drop);
   for (auto& task : tasks) {
     MLM_REQUIRE(task != nullptr, "cannot post a null task");
     // No fault-site or error wrapper: batch tasks handle both
     // internally (Executor::post_bulk contract).
-    enqueue_task([this, task = std::move(task)] {
+    enqueue_task([this, task = std::move(task), unrun] {
+      --unrun->count;
       task();
       ++executed_;
     });

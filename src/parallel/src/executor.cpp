@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstddef>
 #include <mutex>
+#include <string>
 
 #include "mlm/fault/fault.h"
 #include "mlm/support/cache_line.h"
@@ -24,9 +25,10 @@ fault::FaultSite& task_fault_site() {
 // Shared state of one submit_slices batch: the single allocation and
 // the single promise all slices report to.  Self-deleting — the slice
 // that drops `remaining` to zero settles the promise and frees the
-// state, so the batch outlives any early caller.  The fault-site check
-// runs inside run()'s try, so an injected failure is recorded like any
-// slice exception and can never strand the batch future.
+// state, so the batch outlives any early caller; slices the executor
+// discards unrun count down through drop().  The fault-site check runs
+// inside run()'s try, so an injected failure is recorded like any slice
+// exception and can never strand the batch future.
 struct BatchState {
   std::promise<void> promise;
   std::function<void(std::size_t)> body;
@@ -48,12 +50,25 @@ struct BatchState {
       std::lock_guard<std::mutex> lock(mu);
       if (!first_error) first_error = std::current_exception();
     }
-    finish_one();
+    finish(1);
   }
 
-  void finish_one() {
+  // `n` slices will never run: their executor discarded them.
+  void drop(std::size_t n) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!first_error) {
+        first_error = std::make_exception_ptr(
+            Error("executor discarded " + std::to_string(n) +
+                  " unrun slice(s)"));
+      }
+    }
+    finish(n);
+  }
+
+  void finish(std::size_t n) {
     // acq_rel: the final decrement observes every slice's error write.
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    if (remaining.fetch_sub(n, std::memory_order_acq_rel) == n) {
       if (first_error) {
         promise.set_exception(first_error);
       } else {
@@ -83,7 +98,7 @@ std::future<void> Executor::submit_slices(
     // the batch costs one heap allocation total, not one per slice.
     tasks.emplace_back([state, i] { state->run(i); });
   }
-  post_bulk(std::move(tasks));
+  post_bulk(std::move(tasks), [state](std::size_t n) { state->drop(n); });
   return fut;
 }
 

@@ -109,7 +109,8 @@ void ThreadPool::post(std::function<void()> task) {
   });
 }
 
-void ThreadPool::post_bulk(std::vector<std::function<void()>> tasks) {
+void ThreadPool::post_bulk(std::vector<std::function<void()>> tasks,
+                           std::function<void(std::size_t)> /*on_drop*/) {
   if (tasks.empty()) return;
   {
     std::lock_guard<std::mutex> lock(mu_);

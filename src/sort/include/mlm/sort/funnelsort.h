@@ -15,7 +15,7 @@
 //
 // This is a faithful, testable implementation of the algorithm, not a
 // micro-optimized contender; bench_ablation_funnelsort compares it
-// against introsort and the chunk-tuned sorts.
+// against serial_sort and the chunk-tuned sorts.
 #pragma once
 
 #include <algorithm>
@@ -170,11 +170,11 @@ void funnelsort(std::span<T> data, std::span<T> scratch, Comp comp = {}) {
   MLM_REQUIRE(scratch.size() >= data.size(),
               "scratch must be at least input size");
   const std::size_t n = data.size();
-  // Base case: cache-resident sizes go straight to introsort (the
+  // Base case: cache-resident sizes go straight to the serial sort (the
   // engineered Lazy Funnelsort does the same).
   constexpr std::size_t kBase = 4096;
   if (n <= kBase) {
-    introsort(data.begin(), data.end(), comp);
+    serial_sort(data.begin(), data.end(), comp);
     return;
   }
 

@@ -35,8 +35,9 @@ void generate_input(std::span<std::int64_t> out, InputOrder order,
 std::vector<std::int64_t> make_input(std::size_t n, InputOrder order,
                                      std::uint64_t seed);
 
-/// Exact checksum (sum mod 2^64 plus xor) used to verify that sorting
-/// permuted rather than corrupted the data.
+/// Order-independent checksum (sum mod 2^64 plus xor of each value's
+/// splitmix64 hash) used to verify that sorting permuted rather than
+/// corrupted the data.
 struct InputChecksum {
   std::uint64_t sum = 0;
   std::uint64_t xor_ = 0;

@@ -219,52 +219,71 @@ std::vector<std::size_t> multiseq_partition(std::span<const Run<T>> runs,
   }
 }
 
+/// One part of an exact-split parallel merge: the slice of every run
+/// whose elements land in the part, and where the part's output starts.
+template <typename T>
+struct MergePart {
+  std::vector<Run<T>> slices;
+  std::size_t out_begin = 0;
+  std::size_t out_size = 0;
+};
+
+/// Plans a parallel merge of `runs` into an output of `out_size`
+/// elements: as many parts as `max_parts` allows (at most one per 4096
+/// elements, at least one), cut at the exact output ranks
+/// total * p / parts by multiseq_partition, so the parts are
+/// output-contiguous and can merge independently.  Empty when there is
+/// nothing to merge.
+template <typename T, typename Comp = std::less<>>
+std::vector<MergePart<T>> plan_merge_parts(std::span<const Run<T>> runs,
+                                           std::size_t out_size,
+                                           std::size_t max_parts,
+                                           Comp comp = {}) {
+  std::size_t total = 0;
+  for (const auto& r : runs) total += r.size();
+  MLM_REQUIRE(out_size == total, "output size must equal total run size");
+  if (total == 0) return {};
+
+  const std::size_t k = runs.size();
+  const std::size_t parts = std::max<std::size_t>(
+      std::min(max_parts, std::max<std::size_t>(total / 4096, 1)), 1);
+  std::vector<MergePart<T>> plan(parts);
+  std::vector<std::size_t> lo(k, 0);
+  for (std::size_t p = 0; p < parts; ++p) {
+    std::vector<std::size_t> hi(k);
+    if (p + 1 < parts) {
+      hi = multiseq_partition(runs, total * (p + 1) / parts, comp);
+    } else {
+      for (std::size_t i = 0; i < k; ++i) hi[i] = runs[i].size();
+    }
+    plan[p].slices.resize(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      plan[p].slices[i] = runs[i].subspan(lo[i], hi[i] - lo[i]);
+      plan[p].out_begin += lo[i];
+      plan[p].out_size += hi[i] - lo[i];
+    }
+    lo = std::move(hi);
+  }
+  return plan;
+}
+
 /// Parallel k-way merge: partitions the output into `pool.size()`
-/// balanced pieces with multiseq_partition and merges each piece
+/// balanced pieces with plan_merge_parts and merges each piece
 /// independently.  Equivalent in structure to __gnu_parallel::
 /// multiway_merge with exact splitting.
 template <typename T, typename Comp = std::less<>>
 void parallel_multiway_merge(Executor& pool,
                              std::span<const Run<T>> runs,
                              std::span<T> out, Comp comp = {}) {
-  std::size_t total = 0;
-  for (const auto& r : runs) total += r.size();
-  MLM_REQUIRE(out.size() == total, "output size must equal total run size");
-  if (total == 0) return;
-
-  const std::size_t parts =
-      std::min<std::size_t>(pool.size(), std::max<std::size_t>(total / 4096, 1));
-  if (parts <= 1) {
+  const std::vector<MergePart<T>> parts =
+      plan_merge_parts(runs, out.size(), pool.size(), comp);
+  if (parts.size() <= 1) {
     multiway_merge(runs, out, comp);
     return;
   }
-
-  // Split positions at each part boundary: boundaries[p][i] = elements of
-  // run i belonging to output parts 0..p-1.
-  std::vector<std::vector<std::size_t>> boundaries(parts + 1);
-  boundaries[0].assign(runs.size(), 0);
-  for (std::size_t p = 1; p < parts; ++p) {
-    const std::size_t rank = total * p / parts;
-    boundaries[p] = multiseq_partition(runs, rank, comp);
-  }
-  boundaries[parts].resize(runs.size());
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    boundaries[parts][i] = runs[i].size();
-  }
-
-  parallel_for(pool, 0, parts, [&](std::size_t p) {
-    std::vector<Run<T>> slice(runs.size());
-    std::size_t out_begin = 0;
-    std::size_t out_len = 0;
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const std::size_t b = boundaries[p][i];
-      const std::size_t e = boundaries[p + 1][i];
-      slice[i] = runs[i].subspan(b, e - b);
-      out_begin += b;
-      out_len += e - b;
-    }
-    multiway_merge(std::span<const Run<T>>(slice),
-                   out.subspan(out_begin, out_len), comp);
+  parallel_for(pool, 0, parts.size(), [&](std::size_t p) {
+    multiway_merge(std::span<const Run<T>>(parts[p].slices),
+                   out.subspan(parts[p].out_begin, parts[p].out_size), comp);
   });
 }
 

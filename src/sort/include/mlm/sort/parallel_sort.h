@@ -9,8 +9,8 @@
 // ranges, sort each with the serial sort on its own thread, then run an
 // exact-splitting parallel multiway merge.
 //
-// samplesort is provided as an alternative (splitter-based) parallel
-// sort for the ablation benchmarks.
+// samplesort is an alternative (splitter-based) parallel sort.  Nothing
+// outside its tests calls it; ROADMAP item 2(a) lists it for deletion.
 #pragma once
 
 #include <algorithm>
@@ -77,8 +77,8 @@ void gnu_like_parallel_sort(Executor& pool, std::span<T> data,
 
 /// Parallel samplesort (PSRS-style): regular sampling chooses p-1
 /// splitters, every thread partitions its range by the splitters, and
-/// each thread merges one bucket.  Not stable.  Provided for the
-/// parallel-sort ablation; MLM-sort itself uses serial sorts per thread.
+/// each thread merges one bucket.  Not stable.  MLM-sort itself uses
+/// serial sorts per thread.
 template <typename T, typename Comp = std::less<>>
 void samplesort(Executor& pool, std::span<T> data,
                 std::span<T> scratch, Comp comp = {},

@@ -1,11 +1,14 @@
-// Serial comparison sorts implemented from scratch.
+// Serial comparison sorts.
 //
 // MLM-sort's key design decision (Section 4) is to sort each thread's
-// chunk with "the best available serial sorting algorithm" — a quicksort
-// variant (std::sort's introsort) — rather than relying on multithreaded
-// sort scaling to hundreds of cores.  We provide our own introsort so the
-// library is self-contained and its behaviour (e.g. the divide-and-
-// conquer locality that makes MLM-implicit fast) is inspectable.
+// chunk with "the best available serial sorting algorithm" — std::sort
+// (libstdc++'s introsort) — rather than relying on multithreaded sort
+// scaling to hundreds of cores.  serial_sort is the one seam every
+// per-chunk caller goes through (MLM-sort, funnelsort's base case,
+// gnu_like_parallel_sort), so a different serial kernel plugs in here.
+//
+// insertion_sort and heapsort are standalone kernels with no caller
+// outside their tests; ROADMAP item 2(a) lists them for deletion.
 #pragma once
 
 #include <algorithm>
@@ -17,8 +20,6 @@
 namespace mlm::sort {
 
 namespace detail {
-constexpr std::ptrdiff_t kInsertionThreshold = 24;
-
 template <typename It, typename Comp>
 void sift_down(It first, std::ptrdiff_t start, std::ptrdiff_t n,
                Comp& comp) {
@@ -32,23 +33,9 @@ void sift_down(It first, std::ptrdiff_t start, std::ptrdiff_t n,
     root = child;
   }
 }
-
-/// Median-of-three pivot selection; leaves the median at `mid`.
-template <typename It, typename Comp>
-void median_of_three(It lo, It mid, It hi, Comp& comp) {
-  if (comp(*mid, *lo)) std::swap(*mid, *lo);
-  if (comp(*hi, *mid)) {
-    std::swap(*hi, *mid);
-    if (comp(*mid, *lo)) std::swap(*mid, *lo);
-  }
-}
-
-template <typename It, typename Comp>
-void introsort_loop(It first, It last, int depth_limit, Comp& comp);
 }  // namespace detail
 
-/// Stable binary insertion sort; the base case of introsort and fast on
-/// nearly-sorted data.
+/// Stable binary insertion sort; fast on nearly-sorted data.
 template <typename It, typename Comp = std::less<>>
 void insertion_sort(It first, It last, Comp comp = {}) {
   if (first == last) return;
@@ -73,59 +60,10 @@ void heapsort(It first, It last, Comp comp = {}) {
   }
 }
 
-/// Introsort: median-of-three quicksort with a 2*log2(n) depth limit
-/// falling back to heapsort, finishing small partitions with insertion
-/// sort.  O(n log n) worst case; this is the same family as std::sort.
-template <typename It, typename Comp = std::less<>>
-void introsort(It first, It last, Comp comp = {}) {
-  const std::ptrdiff_t n = last - first;
-  if (n <= 1) return;
-  int depth_limit = 0;
-  for (std::ptrdiff_t m = n; m > 1; m >>= 1) depth_limit += 2;
-  detail::introsort_loop(first, last, depth_limit, comp);
-  insertion_sort(first, last, comp);
-}
-
-namespace detail {
-template <typename It, typename Comp>
-void introsort_loop(It first, It last, int depth_limit, Comp& comp) {
-  while (last - first > kInsertionThreshold) {
-    if (depth_limit == 0) {
-      heapsort(first, last, comp);
-      return;
-    }
-    --depth_limit;
-    It mid = first + (last - first) / 2;
-    median_of_three(first, mid, last - 1, comp);
-    // Hoare partition around the median-of-three pivot value.
-    auto pivot = *mid;
-    It i = first;
-    It j = last - 1;
-    for (;;) {
-      while (comp(*i, pivot)) ++i;
-      while (comp(pivot, *j)) --j;
-      if (i >= j) break;
-      std::swap(*i, *j);
-      ++i;
-      --j;
-    }
-    // Recurse on the smaller side to bound stack depth at O(log n).
-    It split = j + 1;
-    if (split - first < last - split) {
-      introsort_loop(first, split, depth_limit, comp);
-      first = split;
-    } else {
-      introsort_loop(split, last, depth_limit, comp);
-      last = split;
-    }
-  }
-}
-}  // namespace detail
-
-/// The serial sort MLM-sort uses for per-thread chunks.
+/// The serial sort MLM-sort uses for per-thread chunks.  Not stable.
 template <typename It, typename Comp = std::less<>>
 void serial_sort(It first, It last, Comp comp = {}) {
-  introsort(first, last, comp);
+  std::sort(first, last, comp);
 }
 
 }  // namespace mlm::sort

@@ -101,51 +101,26 @@ void multiway_merge_split(std::span<const Run<Record<N>>> runs,
   MLM_CHECK(dst == out.data() + total);
 }
 
-/// Parallel key/payload-split merge: same exact multisequence
-/// partitioning as parallel_multiway_merge (records compare by key, so
-/// the part boundaries match the AoS path element for element), each
-/// part merged with the sequential split kernel.
+/// Parallel key/payload-split merge: the same plan_merge_parts as
+/// parallel_multiway_merge (records compare by key, so the part
+/// boundaries match the AoS path element for element), each part merged
+/// with the sequential split kernel.
 template <std::size_t N>
 void parallel_multiway_merge_split(Executor& pool,
                                    std::span<const Run<Record<N>>> runs,
                                    std::span<Record<N>> out,
                                    CopyMode payload_mode = CopyMode::Auto) {
   using Rec = Record<N>;
-  std::size_t total = 0;
-  for (const auto& r : runs) total += r.size();
-  MLM_REQUIRE(out.size() == total, "output size must equal total run size");
-  if (total == 0) return;
-
-  const std::size_t parts = std::min<std::size_t>(
-      pool.size(), std::max<std::size_t>(total / 4096, 1));
-  if (parts <= 1) {
+  const std::vector<MergePart<Rec>> parts =
+      plan_merge_parts(runs, out.size(), pool.size());
+  if (parts.size() <= 1) {
     multiway_merge_split(runs, out, payload_mode);
     return;
   }
-
-  std::vector<std::vector<std::size_t>> boundaries(parts + 1);
-  boundaries[0].assign(runs.size(), 0);
-  for (std::size_t p = 1; p < parts; ++p) {
-    boundaries[p] = multiseq_partition(runs, total * p / parts);
-  }
-  boundaries[parts].resize(runs.size());
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    boundaries[parts][i] = runs[i].size();
-  }
-
-  parallel_for(pool, 0, parts, [&](std::size_t p) {
-    std::vector<Run<Rec>> slice(runs.size());
-    std::size_t out_begin = 0;
-    std::size_t out_len = 0;
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const std::size_t b = boundaries[p][i];
-      const std::size_t e = boundaries[p + 1][i];
-      slice[i] = runs[i].subspan(b, e - b);
-      out_begin += b;
-      out_len += e - b;
-    }
-    multiway_merge_split(std::span<const Run<Rec>>(slice),
-                         out.subspan(out_begin, out_len), payload_mode);
+  parallel_for(pool, 0, parts.size(), [&](std::size_t p) {
+    multiway_merge_split(std::span<const Run<Rec>>(parts[p].slices),
+                         out.subspan(parts[p].out_begin, parts[p].out_size),
+                         payload_mode);
   });
 }
 

@@ -7,7 +7,8 @@
 // (sort-by-key with attached payloads).  The parallel variant reuses the
 // exact-splitting multiway merge, which preserves run order — so stable
 // local runs over consecutive slices compose into a globally stable
-// sort.
+// sort.  Nothing outside its tests calls this header (`sort_records`
+// uses std::stable_sort); ROADMAP item 2(a) lists it for deletion.
 #pragma once
 
 #include <algorithm>

@@ -74,8 +74,11 @@ std::vector<std::int64_t> make_input(std::size_t n, InputOrder order,
 InputChecksum checksum(std::span<const std::int64_t> data) {
   InputChecksum c;
   for (std::int64_t v : data) {
-    c.sum += static_cast<std::uint64_t>(v);
-    c.xor_ ^= static_cast<std::uint64_t>(v);
+    // Mixing first keeps value sets with equal raw sums and xors ({1, 2}
+    // and {0, 3}) apart.
+    const std::uint64_t h = SplitMix64(static_cast<std::uint64_t>(v)).next();
+    c.sum += h;
+    c.xor_ ^= h;
   }
   return c;
 }

@@ -9,11 +9,13 @@
 #include "mlm/sort/input_gen.h"
 #include "mlm/support/error.h"
 #include "mlm/support/units.h"
+#include "sort/test_inputs.h"
 
 namespace mlm::core {
 namespace {
 
 using mlm::sort::InputOrder;
+using mlm::sort::TestInput;
 using mlm::sort::checksum;
 using mlm::sort::make_input;
 
@@ -28,20 +30,26 @@ DualSpace make_space(MlmVariant variant, std::uint64_t mcdram = MiB(2)) {
   return DualSpace(cfg);
 }
 
-using Case = std::tuple<MlmVariant, std::size_t, InputOrder>;
+using Case = std::tuple<MlmVariant, std::size_t, TestInput>;
 
 class MlmSortProperty : public ::testing::TestWithParam<Case> {};
 
 TEST_P(MlmSortProperty, SortsCorrectlyAndPreservesData) {
-  const auto [variant, n, order] = GetParam();
+  const auto [variant, n, shape] = GetParam();
   DualSpace space = make_space(variant);
   ThreadPool pool(4);
   MlmSortConfig cfg;
   cfg.variant = variant;
+  // The adversarial inputs run through eight megachunks on every variant
+  // (DdrOnly and Implicit would otherwise take one), so the
+  // cross-megachunk merge sees them too.
+  const bool adversarial = n == mlm::sort::kAdversarialElements;
+  if (adversarial) cfg.megachunk_elements = n / 8;
 
-  auto data = make_input(n, order, n * 7 + static_cast<int>(order));
+  auto data = mlm::sort::make_test_input(n, shape,
+                                         n * 7 + static_cast<int>(shape));
   auto expect = data;
-  std::sort(expect.begin(), expect.end());
+  std::stable_sort(expect.begin(), expect.end());
   const auto cs = checksum(data);
 
   MlmSorter<std::int64_t> sorter(space, pool, cfg);
@@ -49,7 +57,12 @@ TEST_P(MlmSortProperty, SortsCorrectlyAndPreservesData) {
 
   EXPECT_EQ(data, expect);
   EXPECT_EQ(checksum(data), cs);
-  if (n > 1) EXPECT_GE(stats.megachunks, 1u);
+  if (n > 1) {
+    EXPECT_GE(stats.megachunks, 1u);
+  }
+  if (adversarial) {
+    EXPECT_EQ(stats.megachunks, 8u);
+  }
   // All scratch returned.
   EXPECT_EQ(space.ddr().stats().used_bytes, 0u);
   if (variant == MlmVariant::Flat) {
@@ -63,8 +76,20 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(MlmVariant::Flat, MlmVariant::Implicit,
                           MlmVariant::DdrOnly),
         ::testing::Values(0, 1, 2, 1000, 100000, 500000),
-        ::testing::Values(InputOrder::Random, InputOrder::Reverse,
-                          InputOrder::FewDistinct)));
+        ::testing::Values(TestInput::Random, TestInput::Reverse,
+                          TestInput::FewDistinct)));
+
+INSTANTIATE_TEST_SUITE_P(
+    Adversarial, MlmSortProperty,
+    ::testing::Combine(
+        ::testing::Values(MlmVariant::Flat, MlmVariant::DdrOnly),
+        ::testing::Values(mlm::sort::kAdversarialElements),
+        mlm::sort::adversarial_inputs()),
+    [](const auto& info) {
+      const bool flat = std::get<0>(info.param) == MlmVariant::Flat;
+      return (flat ? "flat_" : "ddronly_") +
+             mlm::sort::name_of(std::get<2>(info.param));
+    });
 
 TEST(MlmSorter, FlatUsesMultipleMegachunksWhenDataExceedsMcdram) {
   // 2 MiB MCDRAM, 500k int64 = ~3.8 MiB of data -> >= 2 megachunks.

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -215,6 +216,32 @@ TEST_F(MemkindShimTest, ConcurrentSetSpaceAndMallocStayConsistent) {
 
   EXPECT_EQ(a.stats().used_bytes, 0u);
   EXPECT_EQ(b.stats().used_bytes, 0u);
+}
+
+// A block leaked into a space that is then destroyed (its destructor
+// frees the block) must not pin that address to the dead space: when a
+// new space gets the same address back, mlm_hbw_free routes to the new
+// space.  64 MiB is above glibc's largest mmap threshold, so the block is
+// mmapped and the kernel hands the freed range straight back.
+TEST_F(MemkindShimTest, ReusedAddressFreesThroughItsNewSpace) {
+  MemorySpace live("hbw-live", MemKind::MCDRAM, MiB(64));
+  auto dead =
+      std::make_unique<MemorySpace>("hbw-dead", MemKind::MCDRAM, MiB(64));
+  mlm_hbw_set_space(dead.get());
+  void* leaked = mlm_hbw_malloc(MiB(64));
+  ASSERT_NE(leaked, nullptr);
+  mlm_hbw_set_space(&live);
+  dead.reset();
+  void* p = mlm_hbw_malloc(MiB(64));
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(live.stats().allocation_count, 1u);
+  if (p != leaked) {
+    mlm_hbw_free(p);
+    GTEST_SKIP() << "the allocator did not hand the leaked address back";
+  }
+  mlm_hbw_free(p);
+  EXPECT_EQ(live.stats().used_bytes, 0u);
+  EXPECT_EQ(live.stats().allocation_count, 0u);
 }
 
 TEST_F(MemkindShimTest, InvalidPolicyRejected) {

@@ -18,6 +18,7 @@
 #include "mlm/parallel/deterministic_executor.h"
 #include "mlm/parallel/executor.h"
 #include "mlm/parallel/thread_pool.h"
+#include "mlm/support/error.h"
 
 namespace mlm {
 namespace {
@@ -109,7 +110,7 @@ TEST(PostBulk, RunsAllTasksInOneTransaction) {
   for (std::size_t i = 0; i < kCount; ++i) {
     tasks.emplace_back([&ran] { ran.fetch_add(1); });
   }
-  pool.post_bulk(std::move(tasks));
+  pool.post_bulk(std::move(tasks), nullptr);
   pool.wait_idle();
   EXPECT_EQ(ran.load(), kCount);
   EXPECT_EQ(pool.tasks_executed(), before + kCount);
@@ -134,6 +135,24 @@ TEST(SubmitSlicesDeterministic, WaitDrivesScheduleAndCoversAllSlices) {
   // Each slice was its own schedulable unit with its own trace tag.
   EXPECT_EQ(sched.trace().size(), kCount);
   EXPECT_EQ(sched.trace().front().tag.rfind("batch#", 0), 0u);
+}
+
+// An executor destroyed before all its slices ran discards the rest;
+// the batch still settles, with an error, and frees its shared state.
+TEST(SubmitSlicesDeterministic, DestroyedExecutorSettlesBatchWithError) {
+  DeterministicScheduler sched(7);
+  std::future<void> fut;
+  int ran = 0;
+  {
+    DeterministicExecutor exec(sched, 4, "doomed");
+    fut = exec.submit_slices(6, [&ran](std::size_t) { ++ran; });
+    ASSERT_TRUE(sched.step());  // one slice runs, five stay queued
+  }
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(sched.pending(), 0u);
+  ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_THROW(fut.get(), Error);
 }
 
 TEST(SubmitSlicesDeterministic, SameSeedSameOrderAcrossRuns) {

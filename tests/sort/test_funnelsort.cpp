@@ -8,19 +8,20 @@
 
 #include "mlm/sort/input_gen.h"
 #include "mlm/support/error.h"
+#include "sort/test_inputs.h"
 
 namespace mlm::sort {
 namespace {
 
-using Case = std::tuple<std::size_t, InputOrder>;
+using Case = std::tuple<std::size_t, TestInput>;
 
 class FunnelsortProperty : public ::testing::TestWithParam<Case> {};
 
 TEST_P(FunnelsortProperty, MatchesStdSort) {
-  const auto [n, order] = GetParam();
-  auto v = make_input(n, order, n * 11 + 3);
+  const auto [n, shape] = GetParam();
+  auto v = make_test_input(n, shape, n * 11 + 3);
   auto expect = v;
-  std::sort(expect.begin(), expect.end());
+  std::stable_sort(expect.begin(), expect.end());
   const auto cs = checksum(v);
   funnelsort(std::span<std::int64_t>(v));
   EXPECT_EQ(v, expect);
@@ -33,8 +34,14 @@ INSTANTIATE_TEST_SUITE_P(
         // Around the base case (4096) and the k-funnel recursion sizes.
         ::testing::Values(0, 1, 2, 4095, 4096, 4097, 10000, 100000,
                           500000),
-        ::testing::Values(InputOrder::Random, InputOrder::Reverse,
-                          InputOrder::Sorted, InputOrder::FewDistinct)));
+        ::testing::Values(TestInput::Random, TestInput::Reverse,
+                          TestInput::Sorted, TestInput::FewDistinct)));
+
+INSTANTIATE_TEST_SUITE_P(
+    Adversarial, FunnelsortProperty,
+    ::testing::Combine(::testing::Values(kAdversarialElements),
+                       adversarial_inputs()),
+    [](const auto& info) { return name_of(std::get<1>(info.param)); });
 
 TEST(Funnelsort, DescendingComparator) {
   auto v = make_input(50000, InputOrder::Random, 5);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "mlm/support/error.h"
 #include "mlm/support/proptest.h"
@@ -67,6 +68,14 @@ TEST(Checksum, InvariantUnderPermutation) {
   EXPECT_EQ(checksum(v), before);
   v[0] ^= 1;  // corruption changes the checksum
   EXPECT_NE(checksum(v), before);
+}
+
+TEST(Checksum, DistinguishesValueSetsWithEqualRawSumAndXor) {
+  // 1 + 2 == 0 + 3 and 1 ^ 2 == 0 ^ 3: a raw sum/xor cannot tell these
+  // apart.
+  const std::vector<std::int64_t> a{1, 2};
+  const std::vector<std::int64_t> b{0, 3};
+  EXPECT_NE(checksum(a), checksum(b));
 }
 
 TEST(Checksum, EmptyIsZero) {

@@ -9,20 +9,21 @@
 #include "mlm/parallel/thread_pool.h"
 #include "mlm/sort/input_gen.h"
 #include "mlm/support/error.h"
+#include "sort/test_inputs.h"
 
 namespace mlm::sort {
 namespace {
 
-using Case = std::tuple<std::size_t, InputOrder, std::size_t>;
+using Case = std::tuple<std::size_t, TestInput, std::size_t>;
 
 class ParallelSortProperty : public ::testing::TestWithParam<Case> {};
 
 TEST_P(ParallelSortProperty, GnuLikeSortMatchesStdSort) {
-  const auto [n, order, threads] = GetParam();
+  const auto [n, shape, threads] = GetParam();
   ThreadPool pool(threads);
-  auto v = make_input(n, order, n * 3 + threads);
+  auto v = make_test_input(n, shape, n * 3 + threads);
   auto expect = v;
-  std::sort(expect.begin(), expect.end());
+  std::stable_sort(expect.begin(), expect.end());
   const auto cs = checksum(v);
   gnu_like_parallel_sort(pool, std::span<std::int64_t>(v));
   EXPECT_EQ(v, expect);
@@ -30,11 +31,11 @@ TEST_P(ParallelSortProperty, GnuLikeSortMatchesStdSort) {
 }
 
 TEST_P(ParallelSortProperty, SamplesortMatchesStdSort) {
-  const auto [n, order, threads] = GetParam();
+  const auto [n, shape, threads] = GetParam();
   ThreadPool pool(threads);
-  auto v = make_input(n, order, n * 5 + threads);
+  auto v = make_test_input(n, shape, n * 5 + threads);
   auto expect = v;
-  std::sort(expect.begin(), expect.end());
+  std::stable_sort(expect.begin(), expect.end());
   std::vector<std::int64_t> scratch(v.size());
   samplesort(pool, std::span<std::int64_t>(v),
              std::span<std::int64_t>(scratch));
@@ -45,9 +46,18 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, ParallelSortProperty,
     ::testing::Combine(
         ::testing::Values(0, 1, 2, 1000, 4096, 100001),
-        ::testing::Values(InputOrder::Random, InputOrder::Reverse,
-                          InputOrder::FewDistinct),
+        ::testing::Values(TestInput::Random, TestInput::Reverse,
+                          TestInput::FewDistinct),
         ::testing::Values(1, 2, 4, 7)));
+
+INSTANTIATE_TEST_SUITE_P(
+    Adversarial, ParallelSortProperty,
+    ::testing::Combine(::testing::Values(kAdversarialElements),
+                       adversarial_inputs(), ::testing::Values(4)),
+    [](const auto& info) {
+      return name_of(std::get<1>(info.param)) + "_t" +
+             std::to_string(std::get<2>(info.param));
+    });
 
 TEST(GnuLikeParallelSort, ScratchTooSmallRejected) {
   ThreadPool pool(2);
