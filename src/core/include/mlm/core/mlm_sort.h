@@ -6,9 +6,13 @@
 //   1. copy it into MCDRAM (flat mode only; all threads copy — the paper
 //      leaves buffering the megachunk pipeline as future work),
 //   2. divide it into maximally-sized chunks, one per thread, and sort
-//      each chunk with the best available *serial* sort (std::sort;
-//      MLM-sort deliberately avoids relying on multithreaded sort
-//      scaling to hundreds of cores),
+//      each chunk with the best available *serial* sort (MLM-sort
+//      deliberately avoids relying on multithreaded sort scaling to
+//      hundreds of cores): serial_sort's span form, which is the
+//      cache-conscious radix_sort for int64 keys under std::less and
+//      std::sort for anything else.  The radix sort's scratch is the
+//      thread's slice of the DDR scratch region step 3 overwrites next,
+//      so it allocates nothing,
 //   3. run a parallel multiway merge of the per-thread runs, writing the
 //      sorted megachunk back to far memory (doubling as the copy-out).
 //
@@ -177,10 +181,13 @@ class MlmSorter {
                                 MlmSortStats& stats) {
     const std::size_t parts = std::min(pool_.size(), work.size());
     stats.chunks_per_megachunk = parts;
-    // Per-thread serial sorts of maximal chunks.
+    // Per-thread serial sorts of maximal chunks.  Each thread's scratch
+    // is its slice of the DDR region the merge below overwrites.
     parallel_for_ranges(pool_, 0, work.size(), [&](IndexRange r) {
-      mlm::sort::serial_sort(work.begin() + r.begin, work.begin() + r.end,
-                             comp_);
+      mlm::sort::serial_sort(
+          work.subspan(r.begin, r.size()),
+          std::span<T>(scratch.data() + out_begin + r.begin, r.size()),
+          comp_);
     });
     // Parallel multiway merge of the per-thread runs into DDR scratch
     // (in flat mode this is also the copy-out).

@@ -1,11 +1,24 @@
-// Serial comparison sorts.
+// Serial sorts.
 //
 // MLM-sort's key design decision (Section 4) is to sort each thread's
-// chunk with "the best available serial sorting algorithm" — std::sort
-// (libstdc++'s introsort) — rather than relying on multithreaded sort
-// scaling to hundreds of cores.  serial_sort is the one seam every
-// per-chunk caller goes through (MLM-sort, funnelsort's base case,
-// gnu_like_parallel_sort), so a different serial kernel plugs in here.
+// chunk with "the best available serial sorting algorithm" rather than
+// relying on multithreaded sort scaling to hundreds of cores.
+// serial_sort is the one seam every per-chunk caller goes through, in
+// two forms:
+//
+//   - serial_sort(first, last, comp) is std::sort (libstdc++'s
+//     introsort); funnelsort's base case and gnu_like_parallel_sort use
+//     it.
+//   - serial_sort(data, scratch, comp) is MlmSorter's per-thread sort.
+//     For int64 keys under std::less it is radix_sort, a cache-conscious
+//     radix sort that needs a scratch array as large as the data; for
+//     any other element type or comparator it is std::sort and the
+//     scratch goes unused.  MlmSorter's scratch is the thread's slice of
+//     the DDR region its megachunk merge overwrites next.
+//
+// The element and comparator types are the only dispatch: no option,
+// environment variable or runtime switch selects the kernel.  For int64
+// under std::less both kernels give byte-identical output.
 //
 // insertion_sort and heapsort are standalone kernels with no caller
 // outside their tests; ROADMAP item 2(a) lists them for deletion.
@@ -13,9 +26,15 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <iterator>
+#include <span>
+#include <type_traits>
 #include <utility>
+
+#include "mlm/sort/radix_sort.h"
+#include "mlm/support/error.h"
 
 namespace mlm::sort {
 
@@ -60,10 +79,26 @@ void heapsort(It first, It last, Comp comp = {}) {
   }
 }
 
-/// The serial sort MLM-sort uses for per-thread chunks.  Not stable.
+/// std::sort over [first, last).  Not stable.
 template <typename It, typename Comp = std::less<>>
 void serial_sort(It first, It last, Comp comp = {}) {
   std::sort(first, last, comp);
+}
+
+/// The serial sort MLM-sort uses for per-thread chunks: radix_sort for
+/// int64 under std::less, std::sort otherwise (see the file comment).
+/// `scratch` must hold at least data.size() elements; it is clobbered.
+template <typename T, typename Comp = std::less<>>
+void serial_sort(std::span<T> data, std::span<T> scratch, Comp comp = {}) {
+  MLM_REQUIRE(scratch.size() >= data.size(),
+              "scratch must be at least input size");
+  if constexpr (std::is_same_v<T, std::int64_t> &&
+                (std::is_same_v<Comp, std::less<>> ||
+                 std::is_same_v<Comp, std::less<std::int64_t>>)) {
+    radix_sort(data, scratch);
+  } else {
+    std::sort(data.begin(), data.end(), comp);
+  }
 }
 
 }  // namespace mlm::sort

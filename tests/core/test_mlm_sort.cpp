@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -165,6 +168,85 @@ TEST(MlmSorter, CustomComparator) {
   sorter.sort(std::span<std::int64_t>(data));
   EXPECT_TRUE(std::is_sorted(data.begin(), data.end(), std::greater<>{}));
 }
+
+// MlmSorter<int64_t> sorts each thread's chunk with radix_sort, using
+// the DDR scratch the megachunk merge overwrites next; a lambda `a < b`
+// comparator sends the same sort through std::sort.  The two must agree
+// byte for byte and leave the same memory footprint.
+struct RadixPathCase {
+  const char* name;
+  MlmVariant variant;
+  bool buffered;
+  std::size_t megachunk_elements;
+};
+
+/// Per addressable tier: high-water bytes and lifetime allocations.
+std::vector<std::uint64_t> footprint(const DualSpace& space) {
+  std::vector<std::uint64_t> out;
+  const MemoryHierarchy& hier = space.hierarchy();
+  for (std::size_t level = 0; level < hier.tier_count(); ++level) {
+    if (!hier.tier_addressable(level)) continue;
+    const SpaceStats st = hier.tier(level).stats();
+    out.push_back(st.high_water_bytes);
+    out.push_back(st.total_allocations);
+  }
+  return out;
+}
+
+class MlmSortRadixPath
+    : public ::testing::TestWithParam<std::tuple<RadixPathCase, TestInput>> {
+ protected:
+  template <typename Comp>
+  std::vector<std::uint64_t> sort(std::vector<std::int64_t>& data,
+                                  Comp comp) const {
+    const RadixPathCase& c = std::get<0>(GetParam());
+    DualSpace space = make_space(c.variant);
+    ThreadPool pool(4);
+    MlmSortConfig cfg;
+    cfg.variant = c.variant;
+    cfg.overlap_copy_in = c.buffered;
+    cfg.megachunk_elements = c.megachunk_elements;
+    MlmSorter<std::int64_t, Comp> sorter(space, pool, cfg, comp);
+    const MlmSortStats stats = sorter.sort(std::span<std::int64_t>(data));
+    EXPECT_EQ(stats.overlapped_copies > 0, c.buffered);
+    return footprint(space);
+  }
+};
+
+TEST_P(MlmSortRadixPath, ByteIdenticalToStdSortPathWithSameFootprint) {
+  const TestInput shape = std::get<1>(GetParam());
+  // 500k int64 is ~3.8 MiB against 2 MiB of MCDRAM: several megachunks.
+  const auto input = mlm::sort::make_test_input(500000, shape, 77);
+  auto radix = input;
+  auto lambda = input;
+  const auto radix_footprint = sort(radix, std::less<>{});
+  const auto lambda_footprint =
+      sort(lambda, [](std::int64_t a, std::int64_t b) { return a < b; });
+  ASSERT_EQ(radix.size(), lambda.size());
+  EXPECT_EQ(0, std::memcmp(radix.data(), lambda.data(),
+                           radix.size() * sizeof(std::int64_t)));
+  EXPECT_TRUE(std::is_sorted(radix.begin(), radix.end()));
+  EXPECT_EQ(radix_footprint, lambda_footprint);
+}
+
+const RadixPathCase kRadixPathCases[] = {
+    {"flat", MlmVariant::Flat, false, 0},
+    {"flatbuffered", MlmVariant::Flat, true, 0},
+    {"implicit", MlmVariant::Implicit, false, 0},
+    {"ddronly", MlmVariant::DdrOnly, false, 0},
+    {"ddronlymegachunks", MlmVariant::DdrOnly, false, 100000},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Variants, MlmSortRadixPath,
+    ::testing::Combine(::testing::ValuesIn(kRadixPathCases),
+                       ::testing::Values(TestInput::Random,
+                                         TestInput::FewDistinct,
+                                         TestInput::OrganPipe)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param).name) + "_" +
+             mlm::sort::name_of(std::get<1>(info.param));
+    });
 
 TEST(BasicChunkedSort, SortsThroughPipeline) {
   DualSpaceConfig scfg;

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "mlm/support/error.h"
 #include "sort/test_inputs.h"
 
 namespace mlm::sort {
@@ -55,6 +58,16 @@ TEST_P(SerialSortProperty, DescendingComparator) {
   auto expect = v;
   std::stable_sort(expect.begin(), expect.end(), std::greater<>{});
   serial_sort(v.begin(), v.end(), std::greater<>{});
+  EXPECT_EQ(v, expect);
+}
+
+// The span form, which for int64 under std::less is radix_sort.
+TEST_P(SerialSortProperty, SpanFormMatchesStableSort) {
+  auto v = input();
+  auto expect = v;
+  std::stable_sort(expect.begin(), expect.end());
+  std::vector<std::int64_t> scratch(v.size());
+  serial_sort(std::span<std::int64_t>(v), std::span<std::int64_t>(scratch));
   EXPECT_EQ(v, expect);
 }
 
@@ -137,6 +150,67 @@ TEST(SerialSort, SerialSortAliasWorks) {
   auto v = make_input(5000, InputOrder::Random, 1);
   serial_sort(v.begin(), v.end());
   EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
+}
+
+// Which kernel the span form runs is visible in the scratch: radix_sort
+// scatters through it, std::sort never touches it.
+constexpr std::int64_t kUntouched = 0x5ca7c4;
+
+struct SpanSortCase {
+  std::vector<std::int64_t> data = make_input(50000, InputOrder::Random, 3);
+  std::vector<std::int64_t> scratch =
+      std::vector<std::int64_t>(data.size(), kUntouched);
+
+  template <typename Comp>
+  void sort(Comp comp) {
+    serial_sort(std::span<std::int64_t>(data),
+                std::span<std::int64_t>(scratch), comp);
+  }
+  bool scratch_untouched() const {
+    return std::all_of(scratch.begin(), scratch.end(),
+                       [](std::int64_t x) { return x == kUntouched; });
+  }
+};
+
+TEST(SerialSortDispatch, Int64UnderStdLessTakesTheRadixPath) {
+  for (const bool typed : {false, true}) {
+    SpanSortCase c;
+    auto expect = c.data;
+    std::stable_sort(expect.begin(), expect.end());
+    if (typed) {
+      c.sort(std::less<std::int64_t>{});
+    } else {
+      c.sort(std::less<>{});
+    }
+    EXPECT_EQ(c.data, expect);
+    EXPECT_FALSE(c.scratch_untouched()) << "typed std::less: " << typed;
+  }
+}
+
+TEST(SerialSortDispatch, GreaterTakesTheStdSortPath) {
+  SpanSortCase c;
+  auto expect = c.data;
+  std::stable_sort(expect.begin(), expect.end(), std::greater<>{});
+  c.sort(std::greater<>{});
+  EXPECT_EQ(c.data, expect);
+  EXPECT_TRUE(c.scratch_untouched());
+}
+
+TEST(SerialSortDispatch, LambdaTakesTheStdSortPath) {
+  SpanSortCase c;
+  auto expect = c.data;
+  std::stable_sort(expect.begin(), expect.end());
+  c.sort([](std::int64_t a, std::int64_t b) { return a < b; });
+  EXPECT_EQ(c.data, expect);
+  EXPECT_TRUE(c.scratch_untouched());
+}
+
+TEST(SerialSortDispatch, ScratchTooSmallRejectedOnBothPaths) {
+  std::vector<std::int64_t> v(100), scratch(50);
+  const std::span<std::int64_t> data(v), small(scratch);
+  EXPECT_THROW(serial_sort(data, small), InvalidArgumentError);
+  EXPECT_THROW(serial_sort(data, small, std::greater<>{}),
+               InvalidArgumentError);
 }
 
 }  // namespace

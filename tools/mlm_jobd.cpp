@@ -324,7 +324,7 @@ int run(const Options& opt) {
 
   if (!opt.quiet) {
     std::cout << "job          state      admission  pri  req-KiB  "
-                 "granted  q-rounds  steps\n";
+                 "granted-KiB  q-rounds  steps\n";
     for (const auto id : ids) {
       const service::SortStats st = svc.job_stats(id);
       std::cout << st.name;
@@ -332,7 +332,7 @@ int run(const Options& opt) {
       std::cout << to_string(st.state) << "  "
                 << to_string(st.admission) << "  " << st.priority << "  "
                 << st.requested_near_bytes / 1024 << "  "
-                << st.granted_near_bytes << "  " << st.queue_rounds
+                << st.granted_near_bytes / 1024 << "  " << st.queue_rounds
                 << "  " << st.steps;
       if (st.shed) std::cout << "  [shed]";
       if (st.error.has_value()) {
