@@ -11,7 +11,29 @@
 //   - LruEpoch         keeps the most *recently* accessed segments near
 //     (last-access epoch, heat then id as tie-breaks).
 //   - FreqThreshold    keeps the *hottest* segments near (decayed
-//     frequency >= min_heat, DAMON's "regions with access frequency F").
+//     frequency >= min_heat, DAMON's "regions with access frequency F"),
+//     with hysteresis so ranking noise does not move data.
+//
+// Both ranked policies select the top `budget` eligible segments with a
+// selection (std::nth_element), not a full sort, under a strict total
+// order — primary score, secondary score, then id — so the selected set
+// is unique and equals the prefix a full sort would give.
+//
+// Why FreqThreshold needs hysteresis: a segment's heat is the sum over
+// the unrelated keys that happen to share it, so under a skewed trace
+// the ranking near the budget boundary is nearly flat and an epoch's
+// sampling noise reorders it.  Moving whatever crossed the boundary
+// copies segments back and forth for no gain in hits.  The policy
+// therefore only acts on a clear lead, DAMOS-style ("access frequency
+// F for time T"):
+//   - a resident never accessed leaves at once, as do residents beyond
+//     the budget (coldest first);
+//   - a free near slot takes the hottest wanted far segment whose heat
+//     is at least max(min_heat, margin);
+//   - otherwise the hottest wanted far segment swaps with the coldest
+//     outranked resident only if its heat exceeds the resident's by
+//     more than the margin (4 decayed accesses); the first pair that
+//     fails ends the epoch's swaps.
 #pragma once
 
 #include <cstddef>
@@ -39,8 +61,9 @@ PlacementPolicy placement_policy_from_string(const std::string& name);
 struct PolicyConfig {
   PlacementPolicy policy = PlacementPolicy::FreqThreshold;
   /// Near-tier budget in segments; 0 = derive from the near space's
-  /// addressable capacity (minus nothing — real allocation failures
-  /// ride the migration engine's degradation ladder).
+  /// addressable capacity minus the index's bytes when the index lives
+  /// near (other allocation failures ride the migration engine's
+  /// degradation ladder).
   std::size_t max_near_segments = 0;
   /// FreqThreshold: minimum decayed heat to be worth promoting.
   std::uint64_t min_heat = 1;
@@ -59,6 +82,15 @@ struct MigrationPlan {
   /// empty); replay tests compare these strings epoch by epoch.
   std::string to_string() const;
 };
+
+/// The segments `config.policy` (LruEpoch or FreqThreshold) wants near:
+/// the top `budget` eligible segments under its rank order, in no
+/// particular order.  FreqThreshold's plan applies hysteresis on top of
+/// this set; LruEpoch's plan is exactly the difference to the placement.
+/// Throws InvalidArgumentError for StaticNearFirst, which ranks nothing.
+std::vector<std::size_t> select_near(const HeatMonitor& monitor,
+                                     const PolicyConfig& config,
+                                     std::size_t budget);
 
 /// Decide this epoch's plan.  Pure: reads placement from `store` and
 /// counters from `monitor`, mutates nothing.
