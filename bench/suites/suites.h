@@ -1,18 +1,15 @@
 // Registration functions for every benchmark suite.
 //
-// Each bench/suites/<name>.cpp ports one of the original bench binaries
-// onto the mlm::bench harness: it registers its measured configurations
-// as cases (deterministic knlsim outputs and/or host wall-clock
-// timings) and re-creates the binary's paper-comparison tables as a
-// suite view over the recorded results.  The thin bench_<name> mains
-// call exactly one of these; bench_all calls register_all to aggregate
-// every suite into one artifact.
+// Each bench/suites/<name>.cpp registers one experiment on the
+// mlm::bench harness: its measured configurations become cases
+// (deterministic knlsim outputs and/or host wall-clock timings) and
+// its paper-comparison tables a suite view over the recorded results.
+// bench_all, the one bench binary, calls every function below;
+// `bench_all --filter=<name>/` runs a single suite.
 //
-// Registration is via explicit functions rather than static
-// initializers so suites survive being placed in a static library.
 // Per-suite tunables registered on the shared CLI use suite-prefixed
-// flag names (e.g. --table1-threads) so all suites can coexist in
-// bench_all without flag collisions.
+// flag names (e.g. --table1-threads) so all suites coexist in bench_all
+// without flag collisions.
 #pragma once
 
 #include "mlm/bench/bench.h"
@@ -68,8 +65,5 @@ void register_kv(Harness& h);
 // first-touch arena faulting.  With --perf-counters the host-measured
 // cases also record hardware counts (never compared in CI).
 void register_topo(Harness& h);
-
-/// Every suite above, in the order listed — the bench_all set.
-void register_all(Harness& h);
 
 }  // namespace mlm::bench::suites

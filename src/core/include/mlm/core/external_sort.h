@@ -18,9 +18,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
 #include <optional>
-#include <type_traits>
 #include <vector>
 
 #include "mlm/core/adapt_seam.h"
@@ -33,7 +31,6 @@
 #include "mlm/parallel/parallel_memcpy.h"
 #include "mlm/sort/loser_tree.h"
 #include "mlm/sort/multiway_merge.h"
-#include "mlm/sort/record.h"
 #include "mlm/support/cache_line.h"
 #include "mlm/support/error.h"
 #include "mlm/support/stopwatch.h"
@@ -45,31 +42,6 @@ namespace external_sort_detail {
 /// Site named by the DDR staging-buffer ladder's events (the buffer is a
 /// plain MemorySpace allocation, guarded by memory.space.allocate).
 inline constexpr const char* kDdrStagingSite = "sort.external.ddr_staging";
-
-/// Part planning shared by both external merges: plan_merge_parts with
-/// the part count clamped so every part's staging footprint — k input
-/// blocks + 1 output block, each rounded up to the space's cache-line
-/// allocation granularity — fits in `staging`.  Empty when there is
-/// nothing to merge.
-template <typename T, typename Comp>
-std::vector<mlm::sort::MergePart<T>> plan_merge_parts(
-    Executor& pool, MemorySpace& staging,
-    std::span<const mlm::sort::Run<T>> runs, std::size_t out_size,
-    std::size_t block_elements, Comp comp) {
-  MLM_REQUIRE(block_elements >= 1, "block must hold at least one element");
-  std::size_t max_parts = pool.size();
-  // An empty merge stages nothing, so it needs no staging room.
-  if (!staging.unlimited() && out_size > 0) {
-    const std::size_t block_bytes =
-        round_up(block_elements * sizeof(T), kCacheLineBytes);
-    const std::size_t per_part_bytes = (runs.size() + 1) * block_bytes;
-    const std::size_t cap = staging.stats().free_bytes();
-    MLM_REQUIRE(per_part_bytes <= cap,
-                "staging space cannot hold even one part's merge blocks");
-    max_parts = std::min(max_parts, cap / per_part_bytes);
-  }
-  return mlm::sort::plan_merge_parts(runs, out_size, max_parts, comp);
-}
 }  // namespace external_sort_detail
 
 /// Block-buffered k-way merge of far-resident sorted runs into a
@@ -85,9 +57,23 @@ void external_multiway_merge(Executor& pool, MemorySpace& staging,
                              std::span<const mlm::sort::Run<T>> runs,
                              std::span<T> out,
                              std::size_t block_elements, Comp comp = {}) {
-  auto parts = external_sort_detail::plan_merge_parts(
-      pool, staging, runs, out.size(), block_elements, comp);
+  MLM_REQUIRE(block_elements >= 1, "block must hold at least one element");
   const std::size_t k = runs.size();
+  // Clamp the part count so every part's staging footprint — k input
+  // blocks + 1 output block, each rounded up to the space's cache-line
+  // allocation granularity — fits in `staging`.  An empty merge stages
+  // nothing, so it needs no staging room.
+  std::size_t max_parts = pool.size();
+  if (!staging.unlimited() && !out.empty()) {
+    const std::size_t block_bytes =
+        round_up(block_elements * sizeof(T), kCacheLineBytes);
+    const std::size_t per_part_bytes = (k + 1) * block_bytes;
+    const std::size_t cap = staging.stats().free_bytes();
+    MLM_REQUIRE(per_part_bytes <= cap,
+                "staging space cannot hold even one part's merge blocks");
+    max_parts = std::min(max_parts, cap / per_part_bytes);
+  }
+  auto parts = mlm::sort::plan_merge_parts(runs, out.size(), max_parts, comp);
 
   parallel_for(pool, 0, parts.size(), [&](std::size_t p) {
     // This part's far slice of each run, consumed front to back.
@@ -154,108 +140,6 @@ void external_multiway_merge(Executor& pool, MemorySpace& staging,
   });
 }
 
-/// Key/payload-split variant of external_multiway_merge for Record<N>
-/// runs (mlm/sort/record.h, key-ascending order only): each staged
-/// input window additionally extracts a dense 8-byte key mirror, the
-/// loser tree merges the mirrors, and the records behind every emitted
-/// streak are copied window -> output block in one contiguous memcpy.
-/// The tree therefore touches sizeof(key) instead of sizeof(Record)
-/// bytes per comparison; payloads move exactly once per staging hop.
-/// Output is byte-identical to the AoS merge (both are stable by
-/// (key, run index)).
-///
-/// Staging cost per part is the same (k + 1) record blocks; the key
-/// mirrors are transient host-heap arrays (8/sizeof(Record) of the
-/// block bytes — 12.5% for Record64) and deliberately not charged to
-/// `staging`, which models the far/near arena budget, not scratch.
-template <std::size_t N>
-void external_multiway_merge_split(
-    Executor& pool, MemorySpace& staging,
-    std::span<const mlm::sort::Run<mlm::sort::Record<N>>> runs,
-    std::span<mlm::sort::Record<N>> out, std::size_t block_elements,
-    CopyMode payload_mode = CopyMode::Auto) {
-  using Rec = mlm::sort::Record<N>;
-  // Same exact output split points as the AoS path (records compare by
-  // key with (value, run, position) ties), so the layouts agree element
-  // for element.
-  auto parts = external_sort_detail::plan_merge_parts(
-      pool, staging, runs, out.size(), block_elements, std::less<>{});
-  const std::size_t k = runs.size();
-
-  parallel_for(pool, 0, parts.size(), [&](std::size_t p) {
-    auto& far = parts[p].slices;
-
-    // Staging blocks: k record windows + 1 record output block, plus a
-    // transient key mirror per window on the host heap.
-    std::vector<SpaceBuffer<Rec>> in_blocks;
-    in_blocks.reserve(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      in_blocks.emplace_back(staging, block_elements);
-    }
-    SpaceBuffer<Rec> out_block(staging, block_elements);
-    std::vector<std::vector<std::uint64_t>> key_win(
-        k, std::vector<std::uint64_t>(block_elements));
-
-    // Window state: [win_cur, win_end) inside in_blocks[i] / key_win[i].
-    std::vector<std::pair<std::size_t, std::size_t>> win(k, {0, 0});
-    auto refill = [&](std::size_t i) {
-      const std::size_t n = std::min(far[i].size(), block_elements);
-      copy_bytes(in_blocks[i].data(), far[i].data(), n * sizeof(Rec),
-                 payload_mode);
-      // Extract the key mirror while the freshly staged records are
-      // still warm — the only pass that reads them before copy-out.
-      for (std::size_t j = 0; j < n; ++j) {
-        key_win[i][j] = in_blocks[i].data()[j].key;
-      }
-      far[i] = far[i].subspan(n);
-      win[i] = {0, n};
-    };
-    for (std::size_t i = 0; i < k; ++i) refill(i);
-
-    Rec* far_out = out.data() + parts[p].out_begin;
-    std::size_t out_fill = 0;
-    auto flush_out = [&] {
-      copy_bytes(far_out, out_block.data(), out_fill * sizeof(Rec),
-                 payload_mode);
-      far_out += out_fill;
-      out_fill = 0;
-    };
-
-    // The streak keys themselves are throwaway (the records carry
-    // them); the merge loop reads keys only.
-    std::vector<std::uint64_t> streak(block_elements);
-
-    mlm::sort::LoserTree<const std::uint64_t*> lt(k);
-    auto reseat = [&] {
-      for (std::size_t i = 0; i < k; ++i) {
-        lt.set_run(i, key_win[i].data() + win[i].first,
-                   key_win[i].data() + win[i].second);
-      }
-      lt.init();
-    };
-    reseat();
-    while (!lt.empty()) {
-      std::size_t src = 0;
-      const std::size_t got = lt.pop_streak(
-          streak.data(), block_elements - out_fill, src);
-      // The records behind the streak sit contiguously in src's staged
-      // window — one memcpy moves them all.
-      std::memcpy(out_block.data() + out_fill,
-                  in_blocks[src].data() + win[src].first,
-                  got * sizeof(Rec));
-      out_fill += got;
-      win[src].first += got;
-      if (out_fill == block_elements) flush_out();
-      if (win[src].first == win[src].second &&
-          !far[src].empty()) {
-        refill(src);
-        reseat();
-      }
-    }
-    flush_out();
-  });
-}
-
 /// Configuration of the NVM-level sorter.
 struct ExternalSortConfig {
   /// Outer (NVM -> DDR) chunk in elements; 0 = as large as DDR allows
@@ -267,12 +151,6 @@ struct ExternalSortConfig {
   MlmSortConfig inner;
   /// Staging block for the final external merge; 0 = auto from DDR.
   std::size_t merge_block_elements = 0;
-  /// Record layout of the final external merge (mlm/sort/record.h).
-  /// SoaSplit routes Record<N> element types (sorted by key, the
-  /// default comparator) through external_multiway_merge_split; scalar
-  /// element types and custom comparators ignore it and take the AoS
-  /// path.  Output bytes are identical either way.
-  mlm::sort::RecordLayout merge_layout = mlm::sort::RecordLayout::Aos;
   /// Optional trace export: staging and merge spans (the NVM<->DDR
   /// traffic) land on `trace_track`, per-outer-chunk inner-sort spans on
   /// `trace_track + 1`.
@@ -747,25 +625,9 @@ class ExternalMlmSorter {
             }
             const std::size_t block =
                 s_.resolve_merge_block(chunks_.size());
-            bool merged_split = false;
-            if constexpr (mlm::sort::is_record_v<T> &&
-                          std::is_same_v<Comp, std::less<>>) {
-              if (s_.config_.merge_layout ==
-                  mlm::sort::RecordLayout::SoaSplit) {
-                external_multiway_merge_split(
-                    s_.pool_, s_.ddr(),
-                    std::span<const mlm::sort::Run<T>>(runs),
-                    std::span<T>(nvm_out_->data(), data_.size()), block);
-                merged_split = true;
-              }
-            }
-            if (!merged_split) {
-              external_multiway_merge(
-                  s_.pool_, s_.ddr(),
-                  std::span<const mlm::sort::Run<T>>(runs),
-                  std::span<T>(nvm_out_->data(), data_.size()), block,
-                  s_.comp_);
-            }
+            external_multiway_merge(
+                s_.pool_, s_.ddr(), std::span<const mlm::sort::Run<T>>(runs),
+                std::span<T>(nvm_out_->data(), data_.size()), block, s_.comp_);
             stats_.external_merge_ran = true;
           } catch (Error& e) {
             e.with_frame({"merge", -1, s_.nvm().name(), "pool-worker",

@@ -6,10 +6,12 @@
 // loser tree only ever looks at the 8-byte key — for a 64-byte record
 // that is an 8x waste of the scarce near-tier bandwidth the whole
 // buffering model is built around.  The SoA key/payload-split layout
-// (mlm/sort/split_merge.h, external_multiway_merge_split) merges dense
-// key mirrors instead and moves each payload exactly once, in
-// streak-sized contiguous copies on the existing streaming-copy
-// kernels.
+// (mlm/sort/split_merge.h) merges dense key mirrors instead and moves
+// each payload exactly once, in streak-sized contiguous copies on the
+// existing streaming-copy kernels.  It serves the in-memory record sort
+// (sort_records); the external NVM merge (mlm/core/external_sort.h)
+// merges whole records only, since at its block-staged shapes the split
+// merge measured no faster.
 //
 // Records order by key alone; run order breaks ties in every merge
 // (LoserTree and multiway_merge are stable), and record sorts use
@@ -50,13 +52,6 @@ using Record64 = Record<56>;
 
 static_assert(sizeof(Record16) == 16);
 static_assert(sizeof(Record64) == 64);
-
-/// Trait gating the key/payload-split merge paths: only Record<N>
-/// instantiations have a key mirror to extract.
-template <typename T>
-inline constexpr bool is_record_v = false;
-template <std::size_t N>
-inline constexpr bool is_record_v<Record<N>> = true;
 
 /// How the sort/merge path lays records out.
 enum class RecordLayout : std::uint8_t {
