@@ -29,19 +29,20 @@ using Run = std::span<const T>;
 /// streak extraction while counting streaks; if the mean streak is
 /// shorter than kCascadeStreakThreshold (runs interleave finely — the
 /// duplicate-poor regime where per-element replay mispredicts), the
-/// remainder drains through the two-run cascade instead.  Both paths
-/// are stable with identical tie-breaks, so the choice never changes a
-/// single output byte — only the time and a transient scratch
-/// allocation.  The probe statistic is a pure function of the input,
-/// keeping outputs and decisions deterministic.
+/// remainder drains through the buffered two-way merge tree
+/// (multiway_merge_cascade) instead.  Both paths are stable with
+/// identical tie-breaks, so the choice never changes a single output
+/// byte — only the time and a transient (k - 2) × 32 KiB scratch
+/// allocation for the tree's blocks.  The probe statistic is a pure
+/// function of the input, keeping outputs and decisions deterministic.
 inline constexpr std::size_t kCascadeMinElements = 4096;
 inline constexpr std::size_t kCascadeProbeMax = std::size_t{1} << 16;
 inline constexpr std::size_t kCascadeStreakThreshold = 2;
 
 /// Sequential k-way merge of sorted runs into `out` (size = total run
 /// length).  Two-run inputs use a branch-light binary merge; k >= 3
-/// starts on a loser tree and may hand off to the two-run cascade (see
-/// kCascadeStreakThreshold above).  Stable across run order.
+/// starts on a loser tree and may hand off to the buffered merge tree
+/// (see kCascadeStreakThreshold above).  Stable across run order.
 template <typename T, typename Comp = std::less<>>
 void multiway_merge(std::span<const Run<T>> runs, std::span<T> out,
                     Comp comp = {}) {
@@ -89,7 +90,7 @@ void multiway_merge(std::span<const Run<T>> runs, std::span<T> out,
       if (!lt.empty() &&
           produced < streaks * kCascadeStreakThreshold) {
         // Fine interleaving: drain the leftover run tails through the
-        // cascade.  The scratch is transient and sized to the leftover.
+        // merge tree, whose scratch is (k - 2) × 32 KiB of blocks.
         std::vector<Run<T>> rest;
         rest.reserve(live.size());
         std::size_t left = 0;
@@ -101,7 +102,7 @@ void multiway_merge(std::span<const Run<T>> runs, std::span<T> out,
           }
         }
         MLM_CHECK(produced + left == total);
-        std::vector<T> scratch(left);
+        std::vector<T> scratch(merge_tree_scratch<T>(rest.size()));
         multiway_merge_cascade(std::span<const Run<T>>(rest),
                                out.subspan(produced, left),
                                std::span<T>(scratch), comp);

@@ -1,12 +1,15 @@
-// Property tests for the batched merge kernels (PR 5): pop_batch /
-// pop_streak against sequential pop() and std::merge references, the
-// unrolled two-run merge against std::merge, with seeded dup-heavy
-// inputs, byte-exact output checks, and run-order stability.
+// Property tests for the merge kernels: pop_batch / pop_streak against
+// sequential pop() and std::merge references, the unrolled two-run
+// merge against std::merge, the AVX-512 int64 step against the scalar
+// step, and the buffered merge tree against a run-by-run reference
+// across block boundaries, with seeded dup-heavy inputs, byte-exact
+// output checks, and run-order stability.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -256,7 +259,8 @@ TEST(CascadeProperty, MatchesReferenceIncludingStability) {
     std::size_t total = 0;
     for (const auto& r : runs) total += r.size();
     std::vector<std::span<const Tagged>> spans(runs.begin(), runs.end());
-    std::vector<Tagged> out(total), scratch(total);
+    std::vector<Tagged> out(total),
+        scratch(merge_tree_scratch<Tagged>(spans.size()));
     multiway_merge_cascade(std::span<const std::span<const Tagged>>(spans),
                            std::span<Tagged>(out),
                            std::span<Tagged>(scratch), TaggedKeyLess{});
@@ -265,9 +269,10 @@ TEST(CascadeProperty, MatchesReferenceIncludingStability) {
 }
 
 TEST(Cascade, RejectsUndersizedScratch) {
-  std::vector<int> a{1, 2}, b{3, 4};
-  std::vector<std::span<const int>> spans{a, b};
-  std::vector<int> out(4), scratch(3);
+  // k = 2 needs no scratch, so the smallest tree with blocks is k = 3.
+  std::vector<int> a{1, 2}, b{3, 4}, c{5};
+  std::vector<std::span<const int>> spans{a, b, c};
+  std::vector<int> out(5), scratch(merge_tree_scratch<int>(3) - 1);
   EXPECT_THROW(
       multiway_merge_cascade(std::span<const std::span<const int>>(spans),
                              std::span<int>(out), std::span<int>(scratch),
@@ -333,6 +338,230 @@ TEST(PopBatchProperty, ByteExactDigestAgainstReference) {
     const auto expect = reference_merge(runs);
     EXPECT_EQ(digest_of<Tagged>(out), digest_of<Tagged>(expect))
         << "seed=" << seed;
+  }
+}
+
+/// Merges `runs` through multiway_merge_cascade with exactly the
+/// documented scratch, so any block overrun reads past the allocation.
+template <typename T, typename Comp>
+std::vector<T> tree_merge(const std::vector<std::vector<T>>& runs,
+                          Comp comp) {
+  std::size_t total = 0;
+  for (const auto& r : runs) total += r.size();
+  std::vector<std::span<const T>> spans(runs.begin(), runs.end());
+  std::vector<T> out(total), scratch(merge_tree_scratch<T>(runs.size()));
+  multiway_merge_cascade(std::span<const std::span<const T>>(spans),
+                         std::span<T>(out), std::span<T>(scratch), comp);
+  return out;
+}
+
+/// Run lengths that land on and around the AVX-512 width and the tree
+/// block size, where the kernels and the refills change hands.
+template <typename T>
+std::vector<std::size_t> edge_lengths() {
+  return {0, 1, 7, 8, 9, kTreeBlock<T> - 1, kTreeBlock<T> + 1};
+}
+
+TEST(MergeTreeProperty, Int64MatchesReference) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const auto lengths = edge_lengths<std::int64_t>();
+  for (const std::size_t k : {3, 4, 5, 8, 9, 64}) {
+    for (int kind = 0; kind < 4; ++kind) {
+      // One pass per uniform run length, then three with mixed lengths.
+      for (std::size_t pass = 0; pass < lengths.size() + 3; ++pass) {
+        Gen g(k * 1000 + static_cast<std::size_t>(kind) * 100 + pass);
+        std::vector<std::vector<std::int64_t>> runs(k);
+        std::vector<std::int64_t> expect;
+        for (auto& r : runs) {
+          r.resize(pass < lengths.size()
+                       ? lengths[pass]
+                       : lengths[g.below(lengths.size())]);
+          for (auto& v : r) {
+            switch (kind) {
+              case 0: v = static_cast<std::int64_t>(g.u64()); break;
+              case 1: v = 42; break;
+              case 2: v = g.int_in(-2, 2); break;
+              default: v = g.boolean() ? kMin : kMax; break;
+            }
+          }
+          std::sort(r.begin(), r.end());
+          expect.insert(expect.end(), r.begin(), r.end());
+        }
+        std::sort(expect.begin(), expect.end());
+        EXPECT_EQ(tree_merge(runs, std::less<>{}), expect)
+            << "k=" << k << " kind=" << kind << " pass=" << pass;
+      }
+    }
+  }
+}
+
+TEST(MergeTreeProperty, TaggedStableAcrossBlocks) {
+  // Tagged takes the scalar kernel; duplicate keys pin the tie order of
+  // every node, including across block refills.
+  const auto lengths = edge_lengths<Tagged>();
+  for (const std::size_t k : {3, 4, 5, 8, 9, 64}) {
+    for (const std::int64_t bound : {std::int64_t{1}, std::int64_t{4}}) {
+      for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        Gen g(k * 100 + static_cast<std::uint64_t>(bound) * 10 + seed);
+        std::vector<std::vector<Tagged>> runs(k);
+        for (std::uint32_t i = 0; i < k; ++i) {
+          runs[i].resize(lengths[g.below(lengths.size())]);
+          std::vector<std::int64_t> keys(runs[i].size());
+          for (auto& key : keys) key = g.int_in(0, bound - 1);
+          std::sort(keys.begin(), keys.end());
+          for (std::uint32_t p = 0; p < keys.size(); ++p) {
+            runs[i][p] = Tagged{keys[p], i, p};
+          }
+        }
+        EXPECT_EQ(tree_merge(runs, TaggedKeyLess{}), reference_merge(runs))
+            << "k=" << k << " bound=" << bound << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST(MergeTree, ExactScratchSuffices) {
+  // 64 Ki elements through a tree whose scratch is (k - 2) blocks —
+  // far less than the output.
+  EXPECT_EQ(merge_tree_scratch<std::int64_t>(8), 6 * kTreeBlock<std::int64_t>);
+  EXPECT_EQ(merge_tree_scratch<std::int64_t>(2), 0u);
+  EXPECT_EQ(kTreeBlock<std::int64_t>, kTreeBlockBytes / 8);
+  Gen g(64);
+  for (const std::size_t k : {3, 8}) {
+    std::vector<std::vector<std::int64_t>> runs(k);
+    std::vector<std::int64_t> expect;
+    for (auto& r : runs) {
+      r.resize((std::size_t{64} << 10) / k);
+      for (auto& v : r) v = static_cast<std::int64_t>(g.u64());
+      std::sort(r.begin(), r.end());
+      expect.insert(expect.end(), r.begin(), r.end());
+    }
+    std::sort(expect.begin(), expect.end());
+    ASSERT_LT(merge_tree_scratch<std::int64_t>(k), expect.size());
+    EXPECT_EQ(tree_merge(runs, std::less<>{}), expect) << "k=" << k;
+  }
+}
+
+/// Cursor offsets and output buffer after one bounded two-run merge.
+struct BoundedResult {
+  std::ptrdiff_t a = 0;
+  std::ptrdiff_t b = 0;
+  std::ptrdiff_t out = 0;
+  std::vector<std::int64_t> buf;
+
+  friend bool operator==(const BoundedResult&,
+                         const BoundedResult&) = default;
+};
+
+/// Runs `step` over a and b into an output of `capacity` slots followed
+/// by a sentinel tail, so a write past the bound shows in `buf`.
+template <typename Step>
+BoundedResult run_bounded(const std::vector<std::int64_t>& a,
+                          const std::vector<std::int64_t>& b,
+                          std::size_t capacity, Step step) {
+  BoundedResult r;
+  r.buf.assign(capacity + 8, -7);
+  const std::int64_t* ca = a.data();
+  const std::int64_t* cb = b.data();
+  std::int64_t* co = r.buf.data();
+  step(ca, a.data() + a.size(), cb, b.data() + b.size(), co,
+       r.buf.data() + capacity);
+  r.a = ca - a.data();
+  r.b = cb - b.data();
+  r.out = co - r.buf.data();
+  return r;
+}
+
+/// Seeded sorted int64 input for the bounded-step tests; small value
+/// ranges force ties across the two runs.
+std::vector<std::int64_t> sorted_int64(Gen& g, std::size_t len,
+                                       std::int64_t bound) {
+  std::vector<std::int64_t> v(len);
+  for (auto& x : v) x = g.int_in(-bound, bound);
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+const auto kScalarStep = [](const std::int64_t*& a, const std::int64_t* ae,
+                            const std::int64_t*& b, const std::int64_t* be,
+                            std::int64_t*& o, std::int64_t* oe) {
+  detail::merge_two_bounded_scalar(a, ae, b, be, o, oe, std::less<>{});
+};
+
+TEST(MergeTwoBounded, Avx512StepMatchesScalarCursorsAndBytes) {
+#if defined(__x86_64__)
+  if (!detail::cpu_has_avx512f()) GTEST_SKIP() << "CPU lacks avx512f";
+  const auto vector_then_scalar =
+      [](const std::int64_t*& a, const std::int64_t* ae,
+         const std::int64_t*& b, const std::int64_t* be, std::int64_t*& o,
+         std::int64_t* oe) {
+        detail::merge_two_bounded_avx512(a, ae, b, be, o, oe);
+        kScalarStep(a, ae, b, be, o, oe);
+      };
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    Gen g(seed + 555);
+    const std::int64_t bound = seed % 2 == 0 ? 3 : 1'000'000;
+    const auto a = sorted_int64(g, g.size_in(0, 70), bound);
+    const auto b = sorted_int64(g, g.size_in(0, 70), bound);
+    for (const std::size_t capacity : {0, 7, 8, 9, 64}) {
+      // The whole bounded merge: vector steps, then the scalar tail.
+      EXPECT_EQ(run_bounded(a, b, capacity, vector_then_scalar),
+                run_bounded(a, b, capacity, kScalarStep))
+          << "seed=" << seed << " capacity=" << capacity;
+      // The vector steps alone stop on an 8-element boundary with the
+      // cursors the scalar merge reaches after as many outputs.
+      const BoundedResult vec = run_bounded(
+          a, b, capacity,
+          [](const std::int64_t*& ca, const std::int64_t* ae,
+             const std::int64_t*& cb, const std::int64_t* be,
+             std::int64_t*& o, std::int64_t* oe) {
+            detail::merge_two_bounded_avx512(ca, ae, cb, be, o, oe);
+          });
+      const BoundedResult scalar = run_bounded(
+          a, b, static_cast<std::size_t>(vec.out), kScalarStep);
+      EXPECT_EQ(vec.out % 8, 0) << "seed=" << seed;
+      EXPECT_EQ(vec.a, scalar.a) << "seed=" << seed;
+      EXPECT_EQ(vec.b, scalar.b) << "seed=" << seed;
+      EXPECT_EQ(vec.out, scalar.out) << "seed=" << seed;
+      EXPECT_TRUE(std::equal(vec.buf.begin(), vec.buf.begin() + vec.out,
+                             scalar.buf.begin()))
+          << "seed=" << seed << " capacity=" << capacity;
+      EXPECT_TRUE(std::all_of(vec.buf.begin() + vec.out, vec.buf.end(),
+                              [](std::int64_t v) { return v == -7; }))
+          << "seed=" << seed << " capacity=" << capacity;
+    }
+  }
+#else
+  GTEST_SKIP() << "AVX-512 kernel is x86-64 only";
+#endif
+}
+
+TEST(MergeTwoBounded, DispatchMatchesScalar) {
+  // The dispatching entry point (AVX-512 where the CPU has it) against
+  // the scalar kernel alone, extremes and ties included.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  for (std::uint64_t seed = 0; seed < 100; ++seed) {
+    Gen g(seed + 9001);
+    auto a = sorted_int64(g, g.size_in(0, 100), 5);
+    auto b = sorted_int64(g, g.size_in(0, 100), 5);
+    if (seed % 3 == 0) {
+      for (auto& v : a) v = v < 0 ? kMin : (v > 0 ? kMax : 0);
+      for (auto& v : b) v = v < 0 ? kMin : (v > 0 ? kMax : 0);
+    }
+    for (const std::size_t capacity : {0, 7, 8, 9, 64, 200}) {
+      const auto dispatch = [](const std::int64_t*& ca,
+                               const std::int64_t* ae,
+                               const std::int64_t*& cb,
+                               const std::int64_t* be, std::int64_t*& o,
+                               std::int64_t* oe) {
+        merge_two_bounded(ca, ae, cb, be, o, oe, std::less<>{});
+      };
+      EXPECT_EQ(run_bounded(a, b, capacity, dispatch),
+                run_bounded(a, b, capacity, kScalarStep))
+          << "seed=" << seed << " capacity=" << capacity;
+    }
   }
 }
 
