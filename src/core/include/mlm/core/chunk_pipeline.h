@@ -5,8 +5,10 @@
 // three dedicated thread pools: while the compute pool works on chunk
 // s-1 in near memory, the copy-in pool loads chunk s and the copy-out
 // pool stores chunk s-2.  Steps are barriers: a step ends when its three
-// stages have all finished — the same semantics the analytic model
-// (mlm/core/buffer_model.h) and the simulator assume.
+// stages have all finished.  Which chunk each stage holds in each step,
+// at every buffering depth, comes from one StepPlan
+// (mlm/support/step_plan.h), the schedule knlsim's merge-bench and
+// basic-chunked timelines price step by step.
 //
 // The engine is expressed against one adjacent *tier pair* of a
 // MemoryHierarchy (mlm/memory/memory_hierarchy.h).  When the pair has no
@@ -56,6 +58,9 @@ enum class Buffering : std::uint8_t {
 };
 
 const char* to_string(Buffering buffering);
+
+/// The buffer count of `buffering`: the depth of the run's StepPlan.
+std::size_t buffer_count(Buffering buffering);
 
 /// Per-run statistics.
 struct PipelineStats {
@@ -111,7 +116,7 @@ struct PipelineTraceConfig {
 
 /// Pipeline configuration.
 struct PipelineConfig {
-  /// Chunk size in bytes; must allow `buffer_count` live buffers in the
+  /// Chunk size in bytes; must allow `buffering` live buffers in the
   /// near space when explicit copies are used.  0 = near capacity
   /// divided by the buffer count (the whole span when the near tier is
   /// unlimited or absent).

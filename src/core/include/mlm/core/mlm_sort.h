@@ -4,7 +4,8 @@
 // MCDRAM-sized "megachunks".  For each megachunk:
 //
 //   1. copy it into MCDRAM (flat mode only; all threads copy — the paper
-//      leaves buffering the megachunk pipeline as future work),
+//      leaves buffering the megachunk pipeline as future work, which
+//      overlap_copy_in implements),
 //   2. divide it into maximally-sized chunks, one per thread, and sort
 //      each chunk with the best available *serial* sort (MLM-sort
 //      deliberately avoids relying on multithreaded sort scaling to
@@ -15,6 +16,11 @@
 //      so it allocates nothing,
 //   3. run a parallel multiway merge of the per-thread runs, writing the
 //      sorted megachunk back to far memory (doubling as the copy-out).
+//
+// The megachunks walk a StepPlan (mlm/support/step_plan.h) without
+// write-back, the merge of step 3 being the copy-out: depth 1 for the
+// paper's scheme, depth 2 when overlap_copy_in loads megachunk s while
+// the workers sort and merge megachunk s-1.
 //
 // A final parallel multiway merge across megachunk runs completes the
 // sort; it "does not use the chunking mechanisms or even explicitly take
@@ -31,17 +37,21 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "mlm/memory/dual_space.h"
+#include "mlm/parallel/deterministic_executor.h"
 #include "mlm/parallel/parallel_for.h"
 #include "mlm/parallel/parallel_memcpy.h"
 #include "mlm/parallel/thread_pool.h"
 #include "mlm/sort/multiway_merge.h"
 #include "mlm/sort/parallel_sort.h"
 #include "mlm/sort/serial_sort.h"
+#include "mlm/support/cache_line.h"
 #include "mlm/support/error.h"
+#include "mlm/support/step_plan.h"
 #include "mlm/support/stopwatch.h"
 #include "mlm/support/trace.h"
 
@@ -64,7 +74,9 @@ struct MlmSortConfig {
   /// different approach might allow hiding the copy-in latency of the
   /// next megachunk").  Halves the maximum megachunk size.
   bool overlap_copy_in = false;
-  /// Copy-in pool size when overlap_copy_in is set.
+  /// Copy-in pool size when overlap_copy_in is set.  The pool is a
+  /// DeterministicExecutor on the worker pool's scheduler when the worker
+  /// pool is one, so its copies stay inside the seeded schedule.
   std::size_t copy_threads = 2;
   /// Optional trace export: megachunk copy-in and sort+merge spans land
   /// on `trace_track` of `trace` (null = tracing off), timed against
@@ -116,14 +128,7 @@ class MlmSorter {
     // DDR scratch receives the sorted megachunk runs.
     SpaceBuffer<T> scratch(space_.ddr(), data.size());
 
-    const bool buffered = config_.variant == MlmVariant::Flat &&
-                          config_.overlap_copy_in &&
-                          megachunks.size() > 1;
-    if (buffered) {
-      run_megachunks_buffered(data, scratch, megachunks, stats);
-    } else {
-      run_megachunks_unbuffered(data, scratch, megachunks, stats);
-    }
+    run_megachunks(data, scratch, megachunks, stats);
 
     if (megachunks.size() == 1) {
       // Scratch holds the fully sorted output; move it home.
@@ -160,11 +165,18 @@ class MlmSorter {
   std::size_t resolve_megachunk(std::size_t n) const {
     std::size_t mega = config_.megachunk_elements;
     if (config_.variant == MlmVariant::Flat) {
-      std::size_t cap = static_cast<std::size_t>(
-          space_.mcdram().stats().free_bytes() / sizeof(T));
-      // Double buffering needs two megachunks resident at once.
-      if (config_.overlap_copy_in) cap /= 2;
-      MLM_CHECK_MSG(cap >= 1, "no MCDRAM capacity for even one element");
+      // Double buffering needs two megachunks resident at once, and the
+      // space rounds each buffer up to a cache line.
+      const std::uint64_t free = space_.mcdram().stats().free_bytes();
+      const std::size_t buffer_bytes = round_down(
+          static_cast<std::size_t>(free / (config_.overlap_copy_in ? 2 : 1)),
+          kCacheLineBytes);
+      const std::size_t cap = buffer_bytes / sizeof(T);
+      if (cap == 0) {
+        throw OutOfMemoryError(
+            "MCDRAM has " + std::to_string(free) +
+            " free bytes, too few for a megachunk buffer of one element");
+      }
       if (mega == 0) mega = cap;
       MLM_REQUIRE(mega <= cap,
                   "megachunk does not fit in addressable MCDRAM");
@@ -201,67 +213,65 @@ class MlmSorter {
         std::span<T>(scratch.data() + out_begin, work.size()), comp_);
   }
 
-  /// The paper's unbuffered scheme: one megachunk resident at a time,
-  /// all threads copy, then all threads sort/merge.
-  void run_megachunks_unbuffered(std::span<T> data, SpaceBuffer<T>& scratch,
-                                 const std::vector<IndexRange>& megachunks,
-                                 MlmSortStats& stats) {
-    SpaceBuffer<T> near_buf;
-    if (config_.variant == MlmVariant::Flat) {
-      near_buf = SpaceBuffer<T>(space_.mcdram(), megachunks.front().size());
+  /// Walk the megachunks through the plan.  Depth 1 (the paper's
+  /// scheme): all workers copy megachunk s in, then sort and merge it.
+  /// Depth 2 (§6 future work, implemented): a dedicated copy pool
+  /// streams megachunk s into the idle buffer while the workers sort and
+  /// merge megachunk s-1.
+  void run_megachunks(std::span<T> data, SpaceBuffer<T>& scratch,
+                      const std::vector<IndexRange>& megachunks,
+                      MlmSortStats& stats) {
+    const bool flat = config_.variant == MlmVariant::Flat;
+    const StepPlan plan(
+        flat && config_.overlap_copy_in && megachunks.size() > 1 ? 2 : 1,
+        megachunks.size(), false);
+    // Buffers before the copy pool, so the pool drains (or drops) any
+    // pending slices while the buffers are still alive.
+    std::vector<SpaceBuffer<T>> bufs;
+    for (std::size_t b = 0; flat && b < plan.depth(); ++b) {
+      bufs.emplace_back(space_.mcdram(), megachunks.front().size());
     }
-    std::size_t index = 0;
-    for (const IndexRange& mc : megachunks) {
-      std::span<T> src = data.subspan(mc.begin, mc.size());
-      std::span<T> work = src;
-      if (config_.variant == MlmVariant::Flat) {
-        work = std::span<T>(near_buf.data(), mc.size());
-        const double t0 = trace_now();
-        parallel_memcpy(pool_, work.data(), src.data(),
-                        mc.size() * sizeof(T));
-        trace_emit("mega copy-in " + std::to_string(index), t0);
-        stats.bytes_copied_in += mc.size() * sizeof(T);
+    std::unique_ptr<Executor> copy_pool;
+    if (!plan.in_joins_before_compute()) copy_pool = make_copy_pool();
+
+    auto work_of = [&](std::size_t c) {
+      const IndexRange& mc = megachunks[c];
+      return flat ? std::span<T>(bufs[c % bufs.size()].data(), mc.size())
+                  : data.subspan(mc.begin, mc.size());
+    };
+    for (std::size_t s = 0; s < plan.steps(); ++s) {
+      const auto [in, compute, out] = plan.step(s);
+      std::vector<std::future<void>> pending;
+      if (in && flat) {
+        const std::span<T> dst = work_of(*in);
+        const T* src = data.data() + megachunks[*in].begin;
+        stats.bytes_copied_in += dst.size_bytes();
+        if (copy_pool == nullptr) {
+          const double t0 = trace_now();
+          parallel_memcpy(pool_, dst.data(), src, dst.size_bytes());
+          trace_emit("mega copy-in " + std::to_string(*in), t0);
+        } else {
+          pending = parallel_memcpy_async(*copy_pool, dst.data(), src,
+                                          dst.size_bytes());
+          if (compute) ++stats.overlapped_copies;
+        }
       }
-      const double t1 = trace_now();
-      sort_and_merge_megachunk(work, scratch, mc.begin, stats);
-      trace_emit("mega sort+merge " + std::to_string(index), t1);
-      ++index;
+      if (compute) {
+        const double t0 = trace_now();
+        sort_and_merge_megachunk(work_of(*compute), scratch,
+                                 megachunks[*compute].begin, stats);
+        trace_emit("mega sort+merge " + std::to_string(*compute), t0);
+      }
+      if (copy_pool != nullptr) copy_pool->wait(pending);
     }
   }
 
-  /// §6 future work, implemented: two megachunk buffers; a dedicated
-  /// copy pool streams megachunk c+1 into the idle buffer while the
-  /// worker pool sorts and merges megachunk c.
-  void run_megachunks_buffered(std::span<T> data, SpaceBuffer<T>& scratch,
-                               const std::vector<IndexRange>& megachunks,
-                               MlmSortStats& stats) {
-    SpaceBuffer<T> bufs[2] = {
-        SpaceBuffer<T>(space_.mcdram(), megachunks.front().size()),
-        SpaceBuffer<T>(space_.mcdram(), megachunks.front().size())};
-    ThreadPool copy_pool(config_.copy_threads, "mlm-copy-in");
-
-    auto start_copy = [&](std::size_t c) {
-      const IndexRange& mc = megachunks[c];
-      stats.bytes_copied_in += mc.size() * sizeof(T);
-      return parallel_memcpy_async(copy_pool, bufs[c % 2].data(),
-                                   data.data() + mc.begin,
-                                   mc.size() * sizeof(T));
-    };
-
-    auto pending = start_copy(0);
-    for (std::size_t c = 0; c < megachunks.size(); ++c) {
-      wait_all(pending);
-      pending.clear();
-      if (c + 1 < megachunks.size()) {
-        pending = start_copy(c + 1);
-        ++stats.overlapped_copies;
-      }
-      const double t0 = trace_now();
-      sort_and_merge_megachunk(
-          std::span<T>(bufs[c % 2].data(), megachunks[c].size()), scratch,
-          megachunks[c].begin, stats);
-      trace_emit("mega sort+merge " + std::to_string(c), t0);
+  std::unique_ptr<Executor> make_copy_pool() const {
+    if (auto* det = dynamic_cast<DeterministicExecutor*>(&pool_)) {
+      return std::make_unique<DeterministicExecutor>(
+          det->scheduler(), config_.copy_threads, "mlm-copy-in");
     }
+    return std::make_unique<ThreadPool>(config_.copy_threads, "mlm-copy-in");
   }
 
   DualSpace& space_;
@@ -273,8 +283,9 @@ class MlmSorter {
 
 /// The "basic algorithm" of Section 4: chunk the data, sort each chunk
 /// with the *parallel* sort (GNU-style), merge all chunk runs at the
-/// end.  Runs through the triple-buffered ChunkPipeline when the space
-/// has addressable MCDRAM.  Used as the Bender-corroboration baseline.
+/// end.  One chunk at a time, serially: when the space has addressable
+/// MCDRAM each chunk is copied in, sorted there and copied back, else it
+/// is sorted in place.  Used as the Bender-corroboration baseline.
 template <typename T, typename Comp = std::less<>>
 void basic_chunked_sort(DualSpace& space, Executor& pool,
                         std::span<T> data, std::size_t chunk_elements,
@@ -284,28 +295,19 @@ void basic_chunked_sort(DualSpace& space, Executor& pool,
   const std::vector<IndexRange> chunks =
       chunk_ranges(data.size(), chunk_elements);
 
-  // Sort each chunk in place (through near memory when available).
-  if (space.has_addressable_mcdram()) {
-    SpaceBuffer<T> near_buf(space.mcdram(),
-                            std::min(chunk_elements, data.size()));
-    std::vector<T> merge_scratch(std::min(chunk_elements, data.size()));
-    for (const IndexRange& c : chunks) {
-      std::span<T> src = data.subspan(c.begin, c.size());
-      parallel_memcpy(pool, near_buf.data(), src.data(),
-                      c.size() * sizeof(T));
-      std::span<T> work(near_buf.data(), c.size());
-      mlm::sort::gnu_like_parallel_sort(
-          pool, work, std::span<T>(merge_scratch.data(), c.size()), comp);
-      parallel_memcpy(pool, src.data(), near_buf.data(),
-                      c.size() * sizeof(T));
-    }
-  } else {
-    std::vector<T> merge_scratch(std::min(chunk_elements, data.size()));
-    for (const IndexRange& c : chunks) {
-      std::span<T> work = data.subspan(c.begin, c.size());
-      mlm::sort::gnu_like_parallel_sort(
-          pool, work, std::span<T>(merge_scratch.data(), c.size()), comp);
-    }
+  const bool near = space.has_addressable_mcdram();
+  const std::size_t buf_elements = std::min(chunk_elements, data.size());
+  SpaceBuffer<T> near_buf;
+  if (near) near_buf = SpaceBuffer<T>(space.mcdram(), buf_elements);
+  std::vector<T> merge_scratch(buf_elements);
+  for (const IndexRange& c : chunks) {
+    const std::span<T> src = data.subspan(c.begin, c.size());
+    const std::span<T> work =
+        near ? std::span<T>(near_buf.data(), c.size()) : src;
+    if (near) parallel_memcpy(pool, work.data(), src.data(), src.size_bytes());
+    mlm::sort::gnu_like_parallel_sort(
+        pool, work, std::span<T>(merge_scratch.data(), c.size()), comp);
+    if (near) parallel_memcpy(pool, src.data(), work.data(), src.size_bytes());
   }
 
   if (chunks.size() == 1) return;

@@ -13,6 +13,7 @@
 #include "mlm/parallel/thread_pool.h"
 #include "mlm/support/cache_line.h"
 #include "mlm/support/error.h"
+#include "mlm/support/step_plan.h"
 #include "mlm/support/stopwatch.h"
 
 namespace mlm::core {
@@ -24,6 +25,15 @@ const char* to_string(Buffering buffering) {
     case Buffering::Triple: return "triple";
   }
   return "?";
+}
+
+std::size_t buffer_count(Buffering buffering) {
+  switch (buffering) {
+    case Buffering::Single: return 1;
+    case Buffering::Double: return 2;
+    case Buffering::Triple: return 3;
+  }
+  return 3;
 }
 
 void PipelineStats::merge(const PipelineStats& other) {
@@ -46,15 +56,6 @@ void PipelineStats::merge(const PipelineStats& other) {
 }
 
 namespace {
-
-std::size_t buffer_count(Buffering b) {
-  switch (b) {
-    case Buffering::Single: return 1;
-    case Buffering::Double: return 2;
-    case Buffering::Triple: return 3;
-  }
-  return 3;
-}
 
 // Static sites for the pipeline failure classes that are not stage
 // launches (mlm/fault/fault.h; the stage sites live in the recovery
@@ -115,9 +116,8 @@ struct ChunkPipelineStepper::Impl {
   /// Implicit/DDR-only mode, or rung 3 of the recovery ladder: chunks
   /// are processed in place by the compute pool, no copies.
   bool in_place = false;
-  /// Loop bound on the step index (buffering-dependent: triple
-  /// buffering needs two drain steps past the last chunk).
-  std::size_t step_limit = 0;
+  /// The barrier schedule: depth `bufs`, or 1 in place.
+  StepPlan plan;
 
   // Buffers are declared before the pools so that on any exit the pools
   // drain (or, deterministically, drop) their pending slices while the
@@ -197,7 +197,7 @@ struct ChunkPipelineStepper::Impl {
         inplace_pool = std::make_unique<ThreadPool>(config.pools.total(),
                                                     "compute");
       }
-      step_limit = num_chunks;
+      plan = StepPlan(1, num_chunks, config.write_back);
       if (validator != nullptr) {
         validator->begin_run(num_chunks, 1, data.size(), false,
                              config.write_back);
@@ -217,11 +217,7 @@ struct ChunkPipelineStepper::Impl {
           first_touch(pools->copy_in(), buf.get(), buf.size_bytes());
         }
       }
-      switch (config.buffering) {
-        case Buffering::Single: step_limit = num_chunks; break;
-        case Buffering::Double: step_limit = num_chunks + 1; break;
-        case Buffering::Triple: step_limit = num_chunks + 2; break;
-      }
+      plan = StepPlan(bufs, num_chunks, config.write_back);
       if (validator != nullptr) {
         validator->begin_run(num_chunks, bufs, data.size(), true,
                              config.write_back);
@@ -363,27 +359,19 @@ struct ChunkPipelineStepper::Impl {
     tracer.emit(2, "copy-out", c, t0, t1);
   }
 
-  /// Whether barrier step `idx` has at least one active stage (triple
-  /// buffering without write-back leaves a dead drain step).
-  bool has_work(std::size_t idx) const {
-    if (in_place || config.buffering != Buffering::Triple) return true;
-    const bool has_in = idx < num_chunks;
-    const bool has_compute = idx >= 1 && idx - 1 < num_chunks;
-    const bool has_out =
-        config.write_back && idx >= 2 && idx - 2 < num_chunks;
-    return has_in || has_compute || has_out;
-  }
-
+  // One barrier step of the plan, posting and joining in the order the
+  // deterministic schedule traces pin: depth 3 posts in(s) and out(s-2),
+  // computes s-1, then joins both copies (Figure 2); depth 2 posts
+  // in(s), then computes s-1 and stores it before joining the copy-in;
+  // depth 1 loads, computes and stores chunk s in turn.
   void run_step(std::size_t idx) {
     Stopwatch step;
     if (in_place) {
-      const std::size_t off = idx * chunk_bytes;
-      const std::size_t len = std::min(chunk_bytes, data.size() - off);
       const double t0 = tracer.now();
       if (validator != nullptr) {
         validator->acquire(PipelineStage::Compute, idx, 0);
       }
-      compute(data.subspan(off, len), *inplace_pool, idx);
+      compute(chunk_range(idx), *inplace_pool, idx);
       if (validator != nullptr) {
         validator->release(PipelineStage::Compute, idx, 0);
       }
@@ -391,53 +379,23 @@ struct ChunkPipelineStepper::Impl {
       tracer.emit(1, "compute", idx, t0, t1);
       stats.compute_seconds += t1 - t0;
     } else {
-      switch (config.buffering) {
-        case Buffering::Single: {
-          // Fully serialized: each chunk is loaded, computed, stored.
-          const double t_in = tracer.now();
-          auto in = copy_in_async(idx);
-          join_in(idx, in, t_in);
-          run_compute(idx);
-          if (config.write_back) {
-            const double t_out = tracer.now();
-            auto out = copy_out_async(idx);
-            join_out(idx, out, t_out);
-          }
-          break;
-        }
-        case Buffering::Double: {
-          // copy-in of chunk s overlaps {compute; copy-out} of s-1.
-          std::vector<std::future<void>> in;
-          const double t_in = tracer.now();
-          if (idx < num_chunks) in = copy_in_async(idx);
-          if (idx >= 1) {
-            run_compute(idx - 1);
-            if (config.write_back) {
-              const double t_out = tracer.now();
-              auto out = copy_out_async(idx - 1);
-              join_out(idx - 1, out, t_out);
-            }
-          }
-          if (idx < num_chunks) join_in(idx, in, t_in);
-          break;
-        }
-        case Buffering::Triple: {
-          // Full three-stage overlap (Figure 2).
-          const bool has_in = idx < num_chunks;
-          const bool has_compute = idx >= 1 && idx - 1 < num_chunks;
-          const bool has_out =
-              config.write_back && idx >= 2 && idx - 2 < num_chunks;
-          std::vector<std::future<void>> in, out;
-          const double t_in = tracer.now();
-          if (has_in) in = copy_in_async(idx);
-          const double t_out = tracer.now();
-          if (has_out) out = copy_out_async(idx - 2);
-          if (has_compute) run_compute(idx - 1);
-          if (has_in) join_in(idx, in, t_in);
-          if (has_out) join_out(idx - 2, out, t_out);
-          break;
-        }
+      const auto [ci, cc, co] = plan.step(idx);
+      const bool in_first = plan.in_joins_before_compute();
+      const bool out_last = plan.out_after_compute();
+      std::vector<std::future<void>> in, out;
+      const double t_in = tracer.now();
+      if (ci) in = copy_in_async(*ci);
+      if (ci && in_first) join_in(*ci, in, t_in);
+      double t_out = tracer.now();
+      if (co && !out_last) out = copy_out_async(*co);
+      if (cc) run_compute(*cc);
+      if (co && out_last) {
+        t_out = tracer.now();
+        out = copy_out_async(*co);
+        join_out(*co, out, t_out);
       }
+      if (ci && !in_first) join_in(*ci, in, t_in);
+      if (co && !out_last) join_out(*co, out, t_out);
     }
     stats.step_seconds.push_back(step.elapsed_s());
     ++stats.steps;
@@ -523,20 +481,7 @@ std::size_t ChunkPipelineStepper::chunks() const {
 }
 
 std::size_t ChunkPipelineStepper::completed_chunks() const {
-  const Impl& im = *impl_;
-  // Steps [0, im.s) have run.  In-place and single buffering retire one
-  // chunk per step; double buffering retires chunk i-1 at step i; triple
-  // buffering retires chunk i-2 at step i (its copy-out joins there).
-  std::size_t lag = 0;
-  if (!im.in_place) {
-    switch (im.config.buffering) {
-      case Buffering::Single: lag = 0; break;
-      case Buffering::Double: lag = 1; break;
-      case Buffering::Triple: lag = im.config.write_back ? 2 : 1; break;
-    }
-  }
-  const std::size_t done = im.s > lag ? im.s - lag : 0;
-  return std::min(done, im.num_chunks);
+  return impl_->plan.retired(impl_->s);
 }
 
 std::size_t ChunkPipelineStepper::chunk_bytes() const {
@@ -547,19 +492,17 @@ bool ChunkPipelineStepper::step() {
   Impl& im = *impl_;
   if (im.complete) return false;
   try {
-    while (im.s < im.step_limit && !im.has_work(im.s)) ++im.s;
-    if (im.s < im.step_limit) {
+    if (im.s < im.plan.steps()) {
       im.run_step(im.s);
       im.apply_tuning(im.s);
       ++im.s;
     }
-    while (im.s < im.step_limit && !im.has_work(im.s)) ++im.s;
   } catch (Error& e) {
     im.complete = true;
     if (!im.in_place) im.add_run_frame(e);
     throw;
   }
-  if (im.s >= im.step_limit) im.complete = true;
+  if (im.s >= im.plan.steps()) im.complete = true;
   return !im.complete;
 }
 

@@ -10,6 +10,11 @@
 // components").  The repeats parameter scales compute work while copy
 // work stays constant, which is what drives the optimal copy-thread
 // count down as computation grows.
+//
+// The steps are those of the StepPlan (mlm/support/step_plan.h) of depth
+// `buffers` with write-back, the schedule the host ChunkPipelineStepper
+// executes; each step is priced as concurrent lanes of serialized stages
+// (see simulate_merge_bench).
 #pragma once
 
 #include <cstddef>

@@ -5,6 +5,7 @@
 
 #include "mlm/knlsim/knl_node.h"
 #include "mlm/support/error.h"
+#include "mlm/support/step_plan.h"
 
 namespace mlm::knlsim {
 
@@ -83,69 +84,40 @@ MergeBenchResult simulate_merge_bench(const KnlConfig& machine,
     return 2.0 * chunks[c] * config.repeats;
   };
 
-  switch (config.buffers) {
-    case 1:
-      // Fully serialized: load, compute, store per chunk; nothing to
-      // reserve against while computing.
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        const double t = copy_time(chunks[c], 1.0) +
-                         comp_time(chunks[c], 0.0) +
-                         copy_time(chunks[c], 1.0);
-        account(t, 2.0 * chunks[c], 2.0 * chunks[c] + comp_payload(c));
-      }
-      break;
-    case 2:
-      // copy-in of chunk s overlaps {compute; copy-out} of chunk s-1.
-      for (std::size_t s = 0; s <= chunks.size(); ++s) {
-        const bool has_in = s < chunks.size();
-        const bool has_prev = s >= 1;
-        const double dirs = (has_in ? 1.0 : 0.0) + (has_prev ? 1.0 : 0.0);
-        double t = 0.0, ddr = 0.0, mc = 0.0;
-        if (has_in) {
-          t = std::max(t, copy_time(chunks[s], dirs));
-          ddr += chunks[s];
-          mc += chunks[s];
-        }
-        if (has_prev) {
-          const double reserved =
-              has_in ? p_copy * copy_rate(dirs) : 0.0;
-          t = std::max(t, comp_time(chunks[s - 1], reserved) +
-                              copy_time(chunks[s - 1], dirs));
-          ddr += chunks[s - 1];
-          mc += chunks[s - 1] + comp_payload(s - 1);
-        }
-        account(t, ddr, mc);
-      }
-      break;
-    case 3:
-      // Full overlap (the paper's triple-buffered scheme, Fig. 2).
-      for (std::size_t s = 0; s < chunks.size() + 2; ++s) {
-        const bool has_in = s < chunks.size();
-        const bool has_comp = s >= 1 && s - 1 < chunks.size();
-        const bool has_out = s >= 2 && s - 2 < chunks.size();
-        const double dirs = (has_in ? 1.0 : 0.0) + (has_out ? 1.0 : 0.0);
-        double t = 0.0, ddr = 0.0, mc = 0.0;
-        if (has_in) {
-          t = std::max(t, copy_time(chunks[s], dirs));
-          ddr += chunks[s];
-          mc += chunks[s];
-        }
-        if (has_out) {
-          t = std::max(t, copy_time(chunks[s - 2], dirs));
-          ddr += chunks[s - 2];
-          mc += chunks[s - 2];
-        }
-        if (has_comp) {
-          const double reserved =
-              dirs > 0.0 ? dirs * p_copy * copy_rate(dirs) : 0.0;
-          t = std::max(t, comp_time(chunks[s - 1], reserved));
-          mc += comp_payload(s - 1);
-        }
-        account(t, ddr, mc);
-      }
-      break;
-    default:
-      MLM_CHECK_MSG(false, "unreachable: buffers validated above");
+  // Each plan step is priced as concurrent lanes, each running its
+  // stages back to back: [in, compute, out] at depth 1, [in] || [compute,
+  // out] at depth 2, [in] || [out] || [compute] at depth 3.  Copies on
+  // `dirs` distinct lanes share DDR, compute reserves the bandwidth of
+  // the copies outside its lane, and the step lasts as long as its
+  // longest lane.  Lane 2 is compute's.
+  const StepPlan plan(config.buffers, chunks.size(), true);
+  const std::size_t in_lane = plan.in_joins_before_compute() ? 2 : 0;
+  const std::size_t out_lane = plan.out_after_compute() ? 2 : 1;
+  for (std::size_t s = 0; s < plan.steps(); ++s) {
+    const auto [in, comp, out] = plan.step(s);
+    bool copying[3] = {};
+    if (in) copying[in_lane] = true;
+    if (out) copying[out_lane] = true;
+    const double outside = copying[0] + copying[1];
+    const double dirs = outside + copying[2];
+    double seconds[3] = {}, copied[3] = {}, payload = 0.0;
+    auto copy = [&](std::size_t lane, std::size_t c) {
+      seconds[lane] += copy_time(chunks[c], dirs);
+      copied[lane] += chunks[c];
+    };
+    if (in) copy(in_lane, *in);
+    if (comp) {
+      const double reserved =
+          outside > 0.0 ? outside * p_copy * copy_rate(dirs) : 0.0;
+      seconds[2] += comp_time(chunks[*comp], reserved);
+      payload = comp_payload(*comp);
+    }
+    if (out) copy(out_lane, *out);
+    // Traffic sums lane by lane, copies before compute payload: the
+    // floating-point order the pinned simulator outputs assume.
+    account(std::max({seconds[0], seconds[1], seconds[2]}),
+            copied[0] + copied[1] + copied[2],
+            copied[0] + copied[1] + (copied[2] + payload));
   }
   return result;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "mlm/support/error.h"
+#include "mlm/support/step_plan.h"
 
 namespace mlm::knlsim {
 
@@ -371,9 +372,10 @@ class SortSim {
   }
 
   void run_basic_chunked() {
-    // The "basic algorithm" of §4: triple-buffered chunks, each sorted
-    // with the (GNU-efficiency) parallel sort while copy pools stream the
-    // next/previous chunk, then a final multiway merge in DDR.
+    // The "basic algorithm" of §4 as a triple-buffered pipeline: the
+    // depth-3 StepPlan's chunks, each sorted with the (GNU-efficiency)
+    // parallel sort while copy pools stream the next/previous chunk,
+    // then a final multiway merge in DDR.
     MLM_REQUIRE(cfg_.copy_threads >= 1, "need at least one copy thread");
     MLM_REQUIRE(cfg_.threads > 2 * cfg_.copy_threads,
                 "thread budget too small for copy pools");
@@ -395,21 +397,22 @@ class SortSim {
       chunks.push_back(take);
       done += take;
     }
-    const auto num_steps = chunks.size() + 2;  // pipeline fill + drain
+    const StepPlan plan(3, chunks.size(), true);
 
-    for (std::size_t s = 0; s < num_steps; ++s) {
+    for (std::size_t s = 0; s < plan.steps(); ++s) {
+      const auto [in, compute, out] = plan.step(s);
       std::vector<FlowSpec> flows;
-      if (s < chunks.size()) {
+      if (in) {
         flows.push_back(node_.copy_flow(
-            static_cast<double>(chunks[s]) * p_.elem_bytes,
+            static_cast<double>(chunks[*in]) * p_.elem_bytes,
             cfg_.copy_threads, "copy-in"));
       }
-      if (s >= 1 && s - 1 < chunks.size()) {
+      if (compute) {
         // Compute = parallel sort of the chunk inside MCDRAM: local
         // sorts on p_comp threads plus a k=p_comp multiway merge.  Both
         // are folded into one flow of combined payload at the sort rate
         // (the merge part is a small fraction for realistic chunk sizes).
-        const double m = static_cast<double>(chunks[s - 1]);
+        const double m = static_cast<double>(chunks[*compute]);
         const SortWork w = sort_work(m / p_comp);
         const double payload =
             w.payload_per_thread * p_comp + 2.0 * m * p_.elem_bytes;
@@ -419,9 +422,9 @@ class SortSim {
             payload, p_comp * rate, 0.0, 2.0 * w.mem_fraction,
             "chunk-sort"));
       }
-      if (s >= 2 && s - 2 < chunks.size()) {
+      if (out) {
         flows.push_back(node_.copy_flow(
-            static_cast<double>(chunks[s - 2]) * p_.elem_bytes,
+            static_cast<double>(chunks[*out]) * p_.elem_bytes,
             cfg_.copy_threads, "copy-out"));
       }
       const double t = run_phase(node_.engine(), std::move(flows));

@@ -7,6 +7,7 @@
 #include <functional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mlm/sort/input_gen.h"
@@ -146,6 +147,55 @@ TEST(MlmSorter, FlatRejectsMegachunkBiggerThanMcdram) {
   MlmSorter<std::int64_t> sorter(space, pool, cfg);
   EXPECT_THROW(sorter.sort(std::span<std::int64_t>(data)),
                InvalidArgumentError);
+}
+
+// The default megachunk is carved per buffer in whole cache lines, the
+// unit MemorySpace rounds every allocation up to: 4104 bytes hold one
+// 4096-byte buffer, not a 4104-byte one, and 4160 bytes hold two
+// 2048-byte buffers when the copy-in is double-buffered.
+TEST(MlmSorter, FlatDefaultMegachunkFitsTheCacheLineRoundUp) {
+  for (const auto& [mcdram, buffered] :
+       {std::pair<std::uint64_t, bool>{4104, false}, {4160, true}}) {
+    DualSpace space = make_space(MlmVariant::Flat, mcdram);
+    ThreadPool pool(2);
+    MlmSortConfig cfg;
+    cfg.variant = MlmVariant::Flat;
+    cfg.overlap_copy_in = buffered;
+    auto data = make_input(10000, InputOrder::Random, 11);
+    auto expect = data;
+    std::sort(expect.begin(), expect.end());
+    MlmSorter<std::int64_t> sorter(space, pool, cfg);
+    const MlmSortStats stats = sorter.sort(std::span<std::int64_t>(data));
+    EXPECT_EQ(data, expect) << "mcdram=" << mcdram;
+    const std::size_t mega = (buffered ? 2048 : 4096) / sizeof(std::int64_t);
+    EXPECT_EQ(stats.megachunks, (10000 + mega - 1) / mega)
+        << "mcdram=" << mcdram;
+    EXPECT_EQ(space.mcdram().stats().used_bytes, 0u);
+  }
+}
+
+TEST(MlmSorter, FlatBelowOneCacheLinePerBufferIsACleanOutOfMemory) {
+  for (const auto& [mcdram, buffered] :
+       {std::pair<std::uint64_t, bool>{32, false}, {100, true}}) {
+    DualSpace space = make_space(MlmVariant::Flat, mcdram);
+    ThreadPool pool(2);
+    MlmSortConfig cfg;
+    cfg.variant = MlmVariant::Flat;
+    cfg.overlap_copy_in = buffered;
+    auto data = make_input(1000, InputOrder::Random, 12);
+    const auto before = data;
+    MlmSorter<std::int64_t> sorter(space, pool, cfg);
+    try {
+      sorter.sort(std::span<std::int64_t>(data));
+      ADD_FAILURE() << "mcdram=" << mcdram << " did not throw";
+    } catch (const OutOfMemoryError& e) {
+      EXPECT_NE(std::string(e.what()).find("too few for a megachunk"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(data, before) << "mcdram=" << mcdram;
+    EXPECT_EQ(space.ddr().stats().used_bytes, 0u);
+  }
 }
 
 TEST(MlmSorter, FlatVariantRequiresAddressableMcdram) {

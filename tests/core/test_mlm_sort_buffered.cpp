@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "mlm/core/mlm_sort.h"
+#include "mlm/parallel/deterministic_executor.h"
 #include "mlm/sort/input_gen.h"
 #include "mlm/support/error.h"
 #include "mlm/support/units.h"
@@ -98,6 +99,39 @@ TEST(BufferedMlmSort, MatchesUnbufferedResult) {
   s2.sort(std::span<std::int64_t>(data2));
 
   EXPECT_EQ(data1, data2);
+}
+
+// Under a deterministic worker pool the copy pool is a
+// DeterministicExecutor on the same scheduler: the copy-ins are tasks of
+// the seeded schedule, so a seed replays the whole sort tick for tick.
+TEST(BufferedMlmSort, CopyInsRunInsideTheDeterministicSchedule) {
+  auto run = [](std::uint64_t seed) {
+    DualSpace space = flat_space(KiB(64));
+    DeterministicScheduler sched(seed);
+    DeterministicExecutor pool(sched, 3, "workers");
+    MlmSortConfig cfg;
+    cfg.variant = MlmVariant::Flat;
+    cfg.overlap_copy_in = true;
+    cfg.copy_threads = 2;
+    auto data = make_input(20000, InputOrder::Random, seed);
+    auto expect = data;
+    std::sort(expect.begin(), expect.end());
+    MlmSorter<std::int64_t> sorter(space, pool, cfg);
+    const MlmSortStats stats = sorter.sort(std::span<std::int64_t>(data));
+    EXPECT_EQ(data, expect) << "seed=" << seed;
+    EXPECT_GE(stats.megachunks, 2u);
+    EXPECT_EQ(stats.overlapped_copies, stats.megachunks - 1);
+    return sched.trace();
+  };
+  for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    const auto trace = run(seed);
+    const auto copies = std::count_if(
+        trace.begin(), trace.end(), [](const ScheduleRecord& r) {
+          return r.tag.rfind("mlm-copy-in#", 0) == 0;
+        });
+    EXPECT_GT(copies, 0) << "seed=" << seed;
+    EXPECT_EQ(run(seed), trace) << "seed=" << seed;
+  }
 }
 
 }  // namespace
