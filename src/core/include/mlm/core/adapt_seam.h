@@ -18,9 +18,9 @@
 //    is the copy-out CopyMode.  Chunk size cannot change mid-run
 //    (buffers are allocated up front); the engine records the request
 //    in AdaptationStats::desired_chunk_bytes for the next run.
-//  - ExternalMlmSorter::Stepper consults the hook after every
-//    StageIn -> InnerSort -> StageOut outer-chunk iteration and
-//    re-chunks the *remaining* input, so chunk-size decisions take
+//  - ExternalMlmSorter::Stepper consults the hook at the barrier after
+//    every outer chunk's StageOut and re-chunks the *remaining* input,
+//    rebuilding its StepPlan over it, so chunk-size decisions take
 //    effect mid-sort at the outer level.
 #pragma once
 

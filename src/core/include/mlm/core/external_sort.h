@@ -8,7 +8,9 @@
 //   2. stage each outer chunk into DDR and sort it there with the
 //      two-level MlmSorter (which itself chunks through MCDRAM — the
 //      double chunking),
-//   3. write each sorted run back to NVM,
+//   3. write each sorted run back to NVM — steps 2-3 walk a depth-1,
+//      write-back StepPlan over the outer chunks, the schedule of the
+//      chunk pipeline and of MlmSorter's megachunks,
 //   4. finish with a block-buffered external k-way merge
 //      (external_multiway_merge): the classic out-of-core merge of §2.2,
 //      reading run blocks into DDR staging buffers and writing merged
@@ -33,16 +35,11 @@
 #include "mlm/sort/multiway_merge.h"
 #include "mlm/support/cache_line.h"
 #include "mlm/support/error.h"
+#include "mlm/support/step_plan.h"
 #include "mlm/support/stopwatch.h"
 #include "mlm/support/trace.h"
 
 namespace mlm::core {
-
-namespace external_sort_detail {
-/// Site named by the DDR staging-buffer ladder's events (the buffer is a
-/// plain MemorySpace allocation, guarded by memory.space.allocate).
-inline constexpr const char* kDdrStagingSite = "sort.external.ddr_staging";
-}  // namespace external_sort_detail
 
 /// Block-buffered k-way merge of far-resident sorted runs into a
 /// far-resident output, staging through `staging` (DDR).  Each worker
@@ -143,7 +140,8 @@ void external_multiway_merge(Executor& pool, MemorySpace& staging,
 /// Configuration of the NVM-level sorter.
 struct ExternalSortConfig {
   /// Outer (NVM -> DDR) chunk in elements; 0 = as large as DDR allows
-  /// (half the free DDR: chunk + inner-sort scratch).
+  /// (half the free DDR, rounded down to a cache line: chunk +
+  /// inner-sort scratch).
   std::size_t outer_chunk_elements = 0;
   /// Inner sorter configuration (two-level MLM-sort in DDR+MCDRAM).
   /// Its own trace fields route megachunk-level events to a track of the
@@ -164,10 +162,11 @@ struct ExternalSortConfig {
   DegradePolicy degrade;
   /// Online retuning seam (mlm/core/adapt_seam.h).  When set, the
   /// stepper reports each completed StageIn -> InnerSort -> StageOut
-  /// outer chunk and applies the returned tuning: a chunk-size change
-  /// re-chunks the *remaining* input (the final merge handles runs of
-  /// any sizes), a copy-thread change re-creates the inner sorter with
-  /// the new overlap copy pool.  Null = fixed configuration.
+  /// plan step and applies the returned tuning: a chunk-size change
+  /// re-chunks the *remaining* input and rebuilds the plan (the final
+  /// merge handles runs of any sizes), a copy-thread change re-creates
+  /// the inner sorter with the new overlap copy pool.  Null = fixed
+  /// configuration.
   TuningHook tuning_hook;
 };
 
@@ -208,7 +207,7 @@ struct ExternalSortStats {
 /// crash-consistency seam the service layer's CheckpointCodec
 /// serializes (mlm/service/checkpoint.h).
 ///
-/// The snapshot names the last *safe redo point*, not the exact phase:
+/// The snapshot names the last *safe redo point*, not the exact stage:
 /// chunks [0, next_chunk) have been staged out (their NVM ranges hold
 /// sorted runs), and everything from next_chunk on is redone from
 /// StageIn.  Redo is idempotent because a chunk's NVM range is always a
@@ -253,30 +252,23 @@ class ExternalMlmSorter {
       : ExternalMlmSorter(space.hierarchy(), pool, config, comp) {}
 
   /// Resumable form of sort(), the unit the service-layer JobScheduler
-  /// drives.  The four sorter phases are explicit steps, and the
-  /// staging/sort loop takes one step per phase per outer chunk, so a
-  /// sort job can be suspended (and its tenant budgets arbitrated) at
-  /// every outer-chunk boundary:
+  /// drives.  The outer chunks walk a depth-1, write-back StepPlan
+  /// (mlm/support/step_plan.h), and each job step runs one stage of a
+  /// plan step, so a sort job can be suspended (and its tenant budgets
+  /// arbitrated) between any two stages:
   ///
-  ///   per chunk: StageIn -> InnerSort -> StageOut
-  ///   then:      Merge -> MoveHome (skipped for a single run)
+  ///   plan step s: StageIn .in -> InnerSort .compute -> StageOut .out
+  ///   then:        Merge -> MoveHome (skipped for a single run)
   ///
-  /// Construction performs setup: outer-chunk resolution and the DDR
-  /// staging-buffer recovery ladder (retry / halve).  Destroying a
-  /// stepper mid-run cancels the sort, releasing its staging buffers;
-  /// the input is then in an unspecified permutation of itself.
-  /// sort(data) is exactly
+  /// Destroying a stepper mid-run cancels the sort, releasing its
+  /// staging buffers; the input is then in an unspecified permutation of
+  /// itself.  sort(data) is exactly
   /// `Stepper s{*this, data}; while (s.step()) {} return s.finish();`.
   class Stepper {
    public:
     Stepper(ExternalMlmSorter& sorter, std::span<T> data)
         : s_(sorter), data_(data) {
-      try {
-        init();
-      } catch (Error& e) {
-        add_sort_frame(e);
-        throw;
-      }
+      start(nullptr);
     }
 
     /// Restore a stepper from a step-boundary checkpoint taken against
@@ -289,70 +281,49 @@ class ExternalMlmSorter {
     Stepper(ExternalMlmSorter& sorter, std::span<T> data,
             const ExternalSortCheckpoint& ckpt)
         : s_(sorter), data_(data) {
-      try {
-        restore(ckpt);
-      } catch (Error& e) {
-        add_sort_frame(e);
-        throw;
-      }
+      start(&ckpt);
     }
 
     Stepper(const Stepper&) = delete;
     Stepper& operator=(const Stepper&) = delete;
 
     /// Snapshot the last safe redo point (valid between steps, before
-    /// finish()).  Mid-chunk phases round down to the chunk's StageIn:
-    /// the chunk's NVM range is untouched until its StageOut completes,
-    /// so redoing from StageIn is always consistent.
+    /// finish()): the plan's retirement watermark.  A stage taken inside
+    /// plan step s rounds down to the chunk's StageIn — the chunk's NVM
+    /// range is untouched until its StageOut completes, so redoing from
+    /// StageIn is always consistent.
     ExternalSortCheckpoint checkpoint() const {
       ExternalSortCheckpoint ckpt;
       ckpt.chunk_begins.reserve(chunks_.size() + 1);
-      for (const IndexRange& r : chunks_) {
-        ckpt.chunk_begins.push_back(r.begin);
-      }
+      for (const IndexRange& r : chunks_) ckpt.chunk_begins.push_back(r.begin);
       ckpt.chunk_begins.push_back(data_.size());
+      ckpt.next_chunk = plan_.retired(step_);
+      ckpt.merge_phase = ckpt.next_chunk == chunks_.size();
       ckpt.inner_tier_fallback = stats_.inner_tier_fallback;
-      switch (phase_) {
-        case Phase::StageIn:
-        case Phase::InnerSort:
-        case Phase::StageOut:
-          ckpt.next_chunk = index_;
-          break;
-        case Phase::Merge:
-        case Phase::MoveHome:
-        case Phase::Done:
-          ckpt.next_chunk = chunks_.size();
-          ckpt.merge_phase = true;
-          break;
-      }
       return ckpt;
     }
 
-    /// Execute the next phase step.  Returns true while more steps
-    /// remain, false once the sort is complete.  Throws the same
-    /// structured errors as sort(); a throwing stepper is dead.
+    /// Execute the next stage.  Returns true while more steps remain,
+    /// false once the sort is complete.  Throws the same structured
+    /// errors as sort(); a throwing stepper is dead.
     bool step() {
-      if (phase_ == Phase::Done) return false;
+      if (done()) return false;
       try {
         run_step();
       } catch (Error& e) {
-        phase_ = Phase::Done;
+        tail_ = Tail::Done;
         add_sort_frame(e);
         throw;
       }
-      return phase_ != Phase::Done;
+      return !done();
     }
 
-    bool done() const { return phase_ == Phase::Done; }
-
-    /// Outer chunks this sort stages (0 for a trivial input).
-    std::size_t outer_chunks() const { return chunks_.size(); }
+    bool done() const { return tail_ == Tail::Done; }
 
     /// Close the run and return its statistics.  Call once, after
     /// done().
     ExternalSortStats finish() {
-      MLM_CHECK_MSG(phase_ == Phase::Done,
-                    "finish() before the sort completed");
+      MLM_CHECK_MSG(done(), "finish() before the sort completed");
       MLM_CHECK_MSG(!finished_, "finish() called twice");
       finished_ = true;
       if (!chunks_.empty()) stats_.total_seconds = total_.elapsed_s();
@@ -360,10 +331,8 @@ class ExternalMlmSorter {
     }
 
    private:
-    enum class Phase : std::uint8_t {
-      StageIn,   ///< NVM -> DDR copy of outer chunk `index_`
-      InnerSort, ///< two-level MLM-sort of the staged chunk
-      StageOut,  ///< DDR -> NVM write-back of the sorted run
+    /// What follows the plan's steps.
+    enum class Tail : std::uint8_t {
       Merge,     ///< external k-way merge of all runs into NVM scratch
       MoveHome,  ///< NVM scratch -> home
       Done,
@@ -374,99 +343,120 @@ class ExternalMlmSorter {
                     std::to_string(data_.size()) + " elements"});
     }
 
-    void init() {
-      if (data_.size() <= 1) {
-        phase_ = Phase::Done;
-        return;
+    // The one start path of fresh and restored runs: chunk layout and
+    // plan (resolved, or the checkpoint's), then — unless every chunk is
+    // retired — the DDR staging buffer and the inner sorter, then the
+    // cursor at the watermark.
+    void start(const ExternalSortCheckpoint* ckpt) {
+      try {
+        std::size_t resume = 0;
+        if (data_.size() > 1) {
+          if (ckpt != nullptr) {
+            resume = restore_layout(*ckpt);
+          } else {
+            lay_out(0, std::min(s_.resolve_outer_chunk(), data_.size()));
+          }
+        }
+        if (resume < chunks_.size()) {
+          stage_buffer(ckpt != nullptr);
+          make_inner();
+        }
+        step_ = resume;
+        if (step_ == plan_.steps()) end_plan();
+      } catch (Error& e) {
+        add_sort_frame(e);
+        throw;
       }
-      std::size_t outer =
-          std::min(s_.resolve_outer_chunk(), data_.size());
-
-      // Recovery rungs 1+2 for the DDR staging buffer: retry transient
-      // exhaustion, then halve the outer chunk until it fits or hits
-      // the policy floor (mlm/core/degrade.h).
-      ladder_.run<OutOfMemoryError>(
-          external_sort_detail::kDdrStagingSite, -1,
-          {.chunk = &outer, .unit_bytes = sizeof(T)},
-          [&] { ddr_buf_.emplace(s_.ddr(), outer); },
-          [&](Error& e, std::size_t) {
-            e.with_frame({"ddr_staging_alloc", -1, s_.ddr().name(),
-                          "orchestrator",
-                          "outer_chunk_elements=" + std::to_string(outer)});
-          });
-
-      chunks_ = chunk_ranges(data_.size(), outer);
-      stats_.outer_chunks = chunks_.size();
-      outer_elems_ = outer;
-      inner_.emplace(s_.upper_, s_.pool_, s_.config_.inner, s_.comp_);
     }
 
-    void restore(const ExternalSortCheckpoint& ckpt) {
-      if (data_.size() <= 1) {
-        phase_ = Phase::Done;
-        return;
-      }
-      MLM_REQUIRE(ckpt.chunk_begins.size() >= 2,
-                  "checkpoint carries no chunk layout");
-      MLM_REQUIRE(ckpt.chunk_begins.front() == 0 &&
-                      ckpt.chunk_begins.back() == data_.size(),
+    /// Adopt a checkpoint's chunk layout; returns the first chunk to
+    /// redo.
+    std::size_t restore_layout(const ExternalSortCheckpoint& ckpt) {
+      const std::vector<std::size_t>& begins = ckpt.chunk_begins;
+      MLM_REQUIRE(begins.size() >= 2, "checkpoint carries no chunk layout");
+      MLM_REQUIRE(begins.front() == 0 && begins.back() == data_.size(),
                   "checkpoint chunk layout does not span the input");
-      std::size_t max_elems = 0;
-      for (std::size_t i = 0; i + 1 < ckpt.chunk_begins.size(); ++i) {
-        const std::size_t b = ckpt.chunk_begins[i];
-        const std::size_t e = ckpt.chunk_begins[i + 1];
-        MLM_REQUIRE(b < e, "checkpoint chunk layout not monotone");
-        chunks_.push_back({b, e});
-        max_elems = std::max(max_elems, e - b);
+      std::size_t widest = 0;
+      for (std::size_t i = 0; i + 1 < begins.size(); ++i) {
+        MLM_REQUIRE(begins[i] < begins[i + 1],
+                    "checkpoint chunk layout not monotone");
+        chunks_.push_back({begins[i], begins[i + 1]});
+        widest = std::max(widest, begins[i + 1] - begins[i]);
       }
       MLM_REQUIRE(ckpt.next_chunk <= chunks_.size(),
                   "checkpoint next_chunk beyond the chunk layout");
-      stats_.outer_chunks = chunks_.size();
-      outer_elems_ = max_elems;
+      adopt_layout(widest);
       stats_.inner_tier_fallback = ckpt.inner_tier_fallback;
+      // A merge-phase checkpoint: every chunk's range holds a sorted run
+      // (or the fully merged output, whose slices are also sorted runs).
+      return ckpt.merge_phase ? chunks_.size() : ckpt.next_chunk;
+    }
 
-      if (ckpt.merge_phase || ckpt.next_chunk >= chunks_.size()) {
-        // Every chunk's range holds a sorted run (or the fully merged
-        // output, whose slices are also sorted runs) — redo the merge.
-        index_ = chunks_.size();
-        phase_ = chunks_.size() == 1 ? Phase::Done : Phase::Merge;
-        return;
+    /// Lay the input out from chunk `keep` on at `elems` elements a
+    /// chunk: the fresh layout and the halving rung's (keep = 0), and
+    /// the tuning hook's re-chunk of the remaining input.
+    void lay_out(std::size_t keep, std::size_t elems) {
+      const std::size_t begin = keep == 0 ? 0 : chunks_[keep - 1].end;
+      chunks_.resize(keep);
+      for (const IndexRange& r : chunk_ranges(data_.size() - begin, elems)) {
+        chunks_.push_back({begin + r.begin, begin + r.end});
       }
+      adopt_layout(elems);
+    }
 
-      // Rung 1 only for the staging buffer: the buffer must hold the
-      // largest checkpointed chunk to redo it, so halving cannot apply.
+    /// The layout changed: rebuild the plan over it.  `nominal` is the
+    /// outer chunk in force (elements).
+    void adopt_layout(std::size_t nominal) {
+      stats_.outer_chunks = chunks_.size();
+      outer_elems_ = nominal;
+      plan_ = StepPlan(1, chunks_.size(), true);
+    }
+
+    // Recovery rungs for the DDR staging buffer (mlm/core/degrade.h):
+    // retry transient exhaustion, then — on a fresh run — halve the
+    // outer chunk until it fits or hits the policy floor, and lay the
+    // input out again at the size that fit.  A restore must redo the
+    // checkpointed layout, so its buffer has to hold the widest chunk.
+    // The buffer is a plain MemorySpace allocation, guarded by
+    // memory.space.allocate; the ladder's events name their own site.
+    void stage_buffer(bool restoring) {
+      std::size_t elems = outer_elems_;
       ladder_.run<OutOfMemoryError>(
-          external_sort_detail::kDdrStagingSite, -1, {},
-          [&] { ddr_buf_.emplace(s_.ddr(), max_elems); },
+          "sort.external.ddr_staging", -1,
+          restoring ? LadderRungs{}
+                    : LadderRungs{.chunk = &elems, .unit_bytes = sizeof(T)},
+          [&] { ddr_buf_.emplace(s_.ddr(), elems); },
           [&](Error& e, std::size_t) {
             e.with_frame({"ddr_staging_alloc", -1, s_.ddr().name(),
                           "orchestrator",
-                          "restore outer_chunk_elements=" +
-                              std::to_string(max_elems)});
+                          std::string(restoring ? "restore " : "") +
+                              "outer_chunk_elements=" +
+                              std::to_string(elems)});
           });
-      MlmSortConfig inner_cfg = s_.config_.inner;
-      if (ckpt.inner_tier_fallback) {
-        inner_cfg.variant = MlmVariant::DdrOnly;
-      }
-      inner_.emplace(s_.upper_, s_.pool_, inner_cfg, s_.comp_);
-      index_ = ckpt.next_chunk;
-      phase_ = Phase::StageIn;
+      if (elems != outer_elems_) lay_out(0, elems);
     }
 
-    // The adaptive seam (mlm/core/adapt_seam.h), consulted after every
-    // completed outer chunk.  Chunk-size decisions re-chunk only the
-    // *remaining* input (never past the staging buffer), which is
-    // output-transparent: the final k-way merge consumes sorted runs
-    // of any sizes.  Copy-thread decisions re-create the inner sorter
-    // so its overlap copy pool is resized at the chunk boundary.
-    void apply_tuning() {
+    /// (Re)create the inner sorter, DDR-only once it has fallen back.
+    void make_inner() {
+      MlmSortConfig cfg = s_.config_.inner;
+      if (stats_.inner_tier_fallback) cfg.variant = MlmVariant::DdrOnly;
+      inner_.emplace(s_.upper_, s_.pool_, cfg, s_.comp_);
+    }
+
+    // The adaptive seam (mlm/core/adapt_seam.h), consulted at the
+    // barrier after every StageOut.  Chunk-size decisions re-chunk only
+    // the *remaining* input (never past the staging buffer) and rebuild
+    // the plan over it, which is output-transparent: the final k-way
+    // merge consumes sorted runs of any sizes.  Copy-thread decisions
+    // re-create the inner sorter so its overlap copy pool is resized at
+    // the chunk boundary.
+    void apply_tuning(std::size_t done_chunk) {
       if (!s_.config_.tuning_hook) return;
-      const IndexRange& done = chunks_[index_ - 1];
-      const std::uint64_t bytes = done.size() * sizeof(T);
+      const std::uint64_t bytes = chunks_[done_chunk].size() * sizeof(T);
 
       StepFeedback fb;
-      fb.step = index_ - 1;
-      fb.chunk_bytes = done.size() * sizeof(T);
+      fb.step = done_chunk;
+      fb.chunk_bytes = fb.bytes_in = fb.bytes_out = bytes;
       fb.pools.copy_in = fb.pools.copy_out =
           std::max<std::size_t>(s_.config_.inner.copy_threads, 1);
       fb.pools.compute =
@@ -476,29 +466,19 @@ class ExternalMlmSorter {
       fb.copy_in_seconds = chunk_in_s_;
       fb.compute_seconds = chunk_sort_s_;
       fb.copy_out_seconds = chunk_out_s_;
-      fb.bytes_in = bytes;
-      fb.bytes_out = bytes;
       fb.new_degradations = stats_.degradations.size() - hook_degr_;
       hook_degr_ = stats_.degradations.size();
 
       const StepTuning tuning = s_.config_.tuning_hook(fb);
       ++stats_.adaptation.decisions;
-      const bool more = index_ < chunks_.size();
+      const bool more = step_ < plan_.steps();
 
       if (tuning.chunk_bytes != 0 && more) {
         std::size_t elems =
             std::max<std::size_t>(tuning.chunk_bytes / sizeof(T), 1);
         elems = std::min(elems, ddr_buf_->size());
         if (elems != outer_elems_) {
-          const std::size_t begin = chunks_[index_].begin;
-          const std::vector<IndexRange> tail =
-              chunk_ranges(data_.size() - begin, elems);
-          chunks_.resize(index_);
-          for (const IndexRange& r : tail) {
-            chunks_.push_back({r.begin + begin, r.end + begin});
-          }
-          stats_.outer_chunks = chunks_.size();
-          outer_elems_ = elems;
+          lay_out(step_, elems);
           ++stats_.adaptation.chunk_changes;
         }
       }
@@ -506,7 +486,7 @@ class ExternalMlmSorter {
           s_.config_.inner.overlap_copy_in &&
           tuning.copy_threads != s_.config_.inner.copy_threads) {
         s_.config_.inner.copy_threads = tuning.copy_threads;
-        inner_.emplace(s_.upper_, s_.pool_, s_.config_.inner, s_.comp_);
+        make_inner();
         ++stats_.adaptation.split_changes;
       }
       stats_.adaptation.final_copy_threads = s_.config_.inner.copy_threads;
@@ -514,152 +494,144 @@ class ExternalMlmSorter {
       stats_.adaptation.desired_chunk_bytes = outer_elems_ * sizeof(T);
     }
 
-    void run_step() {
-      using namespace fault::sites;
-      const IndexRange& c = chunks_[std::min(index_, chunks_.size() - 1)];
-      const std::uint64_t bytes = c.size() * sizeof(T);
-      const auto chunk_idx = static_cast<std::int64_t>(index_);
+    /// Every plan step ran: release the staging buffer before the merge
+    /// claims its blocks.
+    void end_plan() {
+      ddr_buf_.reset();
+      inner_.reset();
+      tail_ = chunks_.size() > 1 ? Tail::Merge : Tail::Done;
+    }
 
-      switch (phase_) {
-        case Phase::StageIn: {
-          ladder_.guard<kExternalSortStageIn>("stage_in", chunk_idx,
-                                              s_.ddr().name());
-          const double t_in = s_.trace_now();
-          try {
-            parallel_memcpy(s_.pool_, ddr_buf_->data(),
-                            data_.data() + c.begin, bytes);
-          } catch (Error& e) {
-            e.with_frame({"stage_in", chunk_idx, s_.ddr().name(),
-                          "pool-worker", ""});
-            throw;
-          }
-          chunk_in_s_ = s_.trace_now() - t_in;
-          s_.note_staging(stats_, "stage-in " + std::to_string(index_),
-                          t_in);
-          stats_.bytes_staged_in += bytes;
-          stats_.nvm_read_bytes += bytes;
-          phase_ = Phase::InnerSort;
-          break;
-        }
-        case Phase::InnerSort: {
-          const double t_sort = s_.trace_now();
-          try {
-            if (!stats_.inner_tier_fallback) {
-              ladder_.guard<kExternalSortInner>("inner_sort", chunk_idx,
-                                                s_.mcdram().name());
-            }
-            stats_.last_inner =
-                inner_->sort(std::span<T>(ddr_buf_->data(), c.size()));
-          } catch (Error& e) {
-            // Rung 3, the HBW_POLICY_PREFERRED analogue: recreate the
-            // inner sorter DDR-only and redo this chunk without MCDRAM.
-            // The failed sort may have left the staged copy partially
-            // permuted, so re-stage from NVM (still the untouched
-            // original) first.
-            if (stats_.inner_tier_fallback ||
-                !ladder_.fall_back(kExternalSortInner, chunk_idx)) {
-              e.with_frame({"inner_sort", chunk_idx, s_.mcdram().name(),
-                            "orchestrator", ""});
-              throw;
-            }
-            stats_.inner_tier_fallback = true;
-            MlmSortConfig ddr_cfg = s_.config_.inner;
-            ddr_cfg.variant = MlmVariant::DdrOnly;
-            inner_.emplace(s_.upper_, s_.pool_, ddr_cfg, s_.comp_);
-            parallel_memcpy(s_.pool_, ddr_buf_->data(),
-                            data_.data() + c.begin, bytes);
-            stats_.bytes_staged_in += bytes;
-            stats_.nvm_read_bytes += bytes;
-            stats_.last_inner =
-                inner_->sort(std::span<T>(ddr_buf_->data(), c.size()));
-          }
-          chunk_sort_s_ = s_.trace_now() - t_sort;
-          stats_.sorting_seconds += chunk_sort_s_;
-          s_.trace_emit(s_.config_.trace_track + 1,
-                        "outer sort " + std::to_string(index_), t_sort);
-          phase_ = Phase::StageOut;
-          break;
-        }
-        case Phase::StageOut: {
-          ladder_.guard<kExternalSortStageOut>("stage_out", chunk_idx,
-                                               s_.nvm().name());
-          const double t_out = s_.trace_now();
-          try {
-            // Outbound runs are dead to the DDR working set: stream
-            // large stage-outs past the cache (bytes are identical
-            // either way).
-            parallel_memcpy(s_.pool_, data_.data() + c.begin,
-                            ddr_buf_->data(), bytes, s_.pool_.size(),
-                            CopyMode::Auto);
-          } catch (Error& e) {
-            e.with_frame({"stage_out", chunk_idx, s_.nvm().name(),
-                          "pool-worker", ""});
-            throw;
-          }
-          chunk_out_s_ = s_.trace_now() - t_out;
-          s_.note_staging(stats_, "stage-out " + std::to_string(index_),
-                          t_out);
-          stats_.bytes_staged_out += bytes;
-          stats_.nvm_write_bytes += bytes;
-          ++index_;
-          apply_tuning();
-          if (index_ < chunks_.size()) {
-            phase_ = Phase::StageIn;
-          } else {
-            ddr_buf_.reset();  // release before the merge claims blocks
-            inner_.reset();
-            phase_ = chunks_.size() == 1 ? Phase::Done : Phase::Merge;
-          }
-          break;
-        }
-        case Phase::Merge: {
-          // External k-way merge of the NVM runs into an NVM scratch.
-          ladder_.guard<kExternalSortMerge>("merge", -1, s_.nvm().name());
-          t_merge_ = s_.trace_now();
-          try {
-            nvm_out_.emplace(s_.nvm(), data_.size());
-            std::vector<mlm::sort::Run<T>> runs;
-            runs.reserve(chunks_.size());
-            for (const IndexRange& r : chunks_) {
-              runs.emplace_back(data_.data() + r.begin, r.size());
-            }
-            const std::size_t block =
-                s_.resolve_merge_block(chunks_.size());
-            external_multiway_merge(
-                s_.pool_, s_.ddr(), std::span<const mlm::sort::Run<T>>(runs),
-                std::span<T>(nvm_out_->data(), data_.size()), block, s_.comp_);
-            stats_.external_merge_ran = true;
-          } catch (Error& e) {
-            e.with_frame({"merge", -1, s_.nvm().name(), "pool-worker",
-                          std::to_string(chunks_.size()) + " runs"});
-            throw;
-          }
-          phase_ = Phase::MoveHome;
-          break;
-        }
-        case Phase::MoveHome: {
-          try {
-            parallel_memcpy(s_.pool_, data_.data(), nvm_out_->data(),
-                            data_.size() * sizeof(T), s_.pool_.size(),
-                            CopyMode::Auto);
-          } catch (Error& e) {
-            e.with_frame({"merge", -1, s_.nvm().name(), "pool-worker",
-                          std::to_string(chunks_.size()) + " runs"});
-            throw;
-          }
-          nvm_out_.reset();
-          const std::uint64_t total_bytes = data_.size() * sizeof(T);
-          stats_.nvm_read_bytes += 2 * total_bytes;  // runs + re-read
-          stats_.nvm_write_bytes += 2 * total_bytes; // scratch + home
-          stats_.merging_seconds = s_.trace_now() - t_merge_;
-          s_.trace_emit(s_.config_.trace_track, "external merge",
-                        t_merge_);
-          phase_ = Phase::Done;
-          break;
-        }
-        case Phase::Done:
-          break;
+    void run_step() {
+      if (step_ == plan_.steps()) {
+        tail_ == Tail::Merge ? merge() : move_home();
+        return;
       }
+      const PlanStep at = plan_.step(step_);
+      if (stage_ == 0) stage(*at.in, true);
+      if (stage_ == 1) inner_sort(*at.compute);
+      if (stage_ == 2) stage(*at.out, false);
+      if (++stage_ < 3) return;
+      // The barrier: chunk *at.out is retired.
+      stage_ = 0;
+      ++step_;
+      apply_tuning(*at.out);
+      if (step_ == plan_.steps()) end_plan();
+    }
+
+    void inner_sort(std::size_t i) {
+      using fault::sites::kExternalSortInner;
+      const IndexRange& c = chunks_[i];
+      const auto chunk_idx = static_cast<std::int64_t>(i);
+      const std::span<T> staged(ddr_buf_->data(), c.size());
+      const double t_sort = s_.trace_now();
+      try {
+        if (!stats_.inner_tier_fallback) {
+          ladder_.guard<kExternalSortInner>("inner_sort", chunk_idx,
+                                            s_.mcdram().name());
+        }
+        stats_.last_inner = inner_->sort(staged);
+      } catch (Error& e) {
+        // Rung 3, the HBW_POLICY_PREFERRED analogue: recreate the inner
+        // sorter DDR-only and redo this chunk without MCDRAM.  The failed
+        // sort may have left the staged copy partially permuted, so
+        // re-stage from NVM (still the untouched original) first.
+        if (stats_.inner_tier_fallback ||
+            !ladder_.fall_back(kExternalSortInner, chunk_idx)) {
+          e.with_frame({"inner_sort", chunk_idx, s_.mcdram().name(),
+                        "orchestrator", ""});
+          throw;
+        }
+        stats_.inner_tier_fallback = true;
+        make_inner();
+        parallel_memcpy(s_.pool_, staged.data(), data_.data() + c.begin,
+                        staged.size_bytes());
+        stats_.bytes_staged_in += staged.size_bytes();
+        stats_.nvm_read_bytes += staged.size_bytes();
+        stats_.last_inner = inner_->sort(staged);
+      }
+      chunk_sort_s_ = s_.trace_now() - t_sort;
+      stats_.sorting_seconds += chunk_sort_s_;
+      s_.trace_emit(s_.config_.trace_track + 1,
+                    "outer sort " + std::to_string(i), t_sort);
+    }
+
+    // One NVM <-> DDR copy of chunk i: StageIn, or StageOut of its
+    // sorted run.  Outbound runs are dead to the DDR working set, so
+    // large stage-outs stream past the cache (the bytes are identical).
+    void stage(std::size_t i, bool in) {
+      using namespace fault::sites;
+      const auto chunk_idx = static_cast<std::int64_t>(i);
+      const char* const op = in ? "stage_in" : "stage_out";
+      const std::string& tier = (in ? s_.ddr() : s_.nvm()).name();
+      if (in) {
+        ladder_.guard<kExternalSortStageIn>(op, chunk_idx, tier);
+      } else {
+        ladder_.guard<kExternalSortStageOut>(op, chunk_idx, tier);
+      }
+      T* const far = data_.data() + chunks_[i].begin;
+      const std::uint64_t bytes = chunks_[i].size() * sizeof(T);
+      const double t0 = s_.trace_now();
+      try {
+        parallel_memcpy(s_.pool_, in ? ddr_buf_->data() : far,
+                        in ? far : ddr_buf_->data(), bytes, s_.pool_.size(),
+                        in ? CopyMode::Cached : CopyMode::Auto);
+      } catch (Error& e) {
+        e.with_frame({op, chunk_idx, tier, "pool-worker", ""});
+        throw;
+      }
+      (in ? chunk_in_s_ : chunk_out_s_) = s_.trace_now() - t0;
+      s_.note_staging(stats_, (in ? "stage-in " : "stage-out ") +
+                                  std::to_string(i), t0);
+      (in ? stats_.bytes_staged_in : stats_.bytes_staged_out) += bytes;
+      (in ? stats_.nvm_read_bytes : stats_.nvm_write_bytes) += bytes;
+    }
+
+    void merge() {
+      // External k-way merge of the NVM runs into an NVM scratch.
+      ladder_.guard<fault::sites::kExternalSortMerge>("merge", -1,
+                                                      s_.nvm().name());
+      t_merge_ = s_.trace_now();
+      try {
+        nvm_out_.emplace(s_.nvm(), data_.size());
+        std::vector<mlm::sort::Run<T>> runs;
+        runs.reserve(chunks_.size());
+        for (const IndexRange& r : chunks_) {
+          runs.emplace_back(data_.data() + r.begin, r.size());
+        }
+        const std::size_t block = s_.resolve_merge_block(chunks_.size());
+        external_multiway_merge(
+            s_.pool_, s_.ddr(), std::span<const mlm::sort::Run<T>>(runs),
+            std::span<T>(nvm_out_->data(), data_.size()), block, s_.comp_);
+        stats_.external_merge_ran = true;
+      } catch (Error& e) {
+        add_merge_frame(e);
+        throw;
+      }
+      tail_ = Tail::MoveHome;
+    }
+
+    void move_home() {
+      try {
+        parallel_memcpy(s_.pool_, data_.data(), nvm_out_->data(),
+                        data_.size() * sizeof(T), s_.pool_.size(),
+                        CopyMode::Auto);
+      } catch (Error& e) {
+        add_merge_frame(e);
+        throw;
+      }
+      nvm_out_.reset();
+      const std::uint64_t total_bytes = data_.size() * sizeof(T);
+      stats_.nvm_read_bytes += 2 * total_bytes;   // runs + re-read
+      stats_.nvm_write_bytes += 2 * total_bytes;  // scratch + home
+      stats_.merging_seconds = s_.trace_now() - t_merge_;
+      s_.trace_emit(s_.config_.trace_track, "external merge", t_merge_);
+      tail_ = Tail::Done;
+    }
+
+    void add_merge_frame(Error& e) const {
+      e.with_frame({"merge", -1, s_.nvm().name(), "pool-worker",
+                    std::to_string(chunks_.size()) + " runs"});
     }
 
     ExternalMlmSorter& s_;
@@ -673,13 +645,17 @@ class ExternalMlmSorter {
     Stopwatch total_;
     std::optional<SpaceBuffer<T>> ddr_buf_;
     std::vector<IndexRange> chunks_;
+    StepPlan plan_;
     std::optional<MlmSorter<T, Comp>> inner_;
     std::optional<SpaceBuffer<T>> nvm_out_;
-    std::size_t index_ = 0;
-    Phase phase_ = Phase::StageIn;
+    /// Cursor: plan step, and the stage within it (0 = StageIn,
+    /// 1 = InnerSort, 2 = StageOut); past the plan, the tail.
+    std::size_t step_ = 0;
+    std::size_t stage_ = 0;
+    Tail tail_ = Tail::Merge;
     double t_merge_ = 0.0;
     bool finished_ = false;
-    /// Tuning-hook state: per-phase spans of the chunk in flight, the
+    /// Tuning-hook state: per-stage spans of the chunk in flight, the
     /// degradation high-water at the last hook call, and the nominal
     /// outer chunk (elements) currently in force.
     double chunk_in_s_ = 0.0;
@@ -719,31 +695,39 @@ class ExternalMlmSorter {
     trace_emit(config_.trace_track, name, t0);
   }
 
+  // The staging buffer and the inner sorter's scratch share DDR, each
+  // rounded up to a cache line: carve bytes per buffer and snap them
+  // down before converting to elements.
   std::size_t resolve_outer_chunk() const {
-    std::size_t outer = config_.outer_chunk_elements;
-    const std::size_t cap = static_cast<std::size_t>(
-        hier_.tier(1).stats().free_bytes() / sizeof(T) / 2);
-    MLM_CHECK_MSG(cap >= 1, "no DDR capacity for outer chunking");
-    if (outer == 0) outer = cap;
+    const std::size_t free = hier_.tier(1).stats().free_bytes();
+    const std::size_t cap = round_down(free / 2, kCacheLineBytes) / sizeof(T);
+    if (cap == 0) {
+      throw OutOfMemoryError("DDR has no room for an outer chunk and its "
+                             "inner scratch: " + std::to_string(free) +
+                             " bytes free");
+    }
+    const std::size_t outer = config_.outer_chunk_elements;
     MLM_REQUIRE(outer <= cap,
                 "outer chunk plus inner scratch exceed DDR capacity");
-    return outer;
+    return outer != 0 ? outer : cap;
   }
 
+  // A merge part stages k + 1 blocks, each rounded up to a cache line.
+  // The automatic block splits free DDR over every worker's part, with a
+  // 64-element floor unless that leaves no room for one part: then it is
+  // the widest cache-line multiple that fits.
   std::size_t resolve_merge_block(std::size_t k) const {
-    std::size_t block = config_.merge_block_elements;
+    if (config_.merge_block_elements != 0) return config_.merge_block_elements;
+    const std::size_t free = hier_.tier(1).stats().free_bytes();
+    const std::size_t one_part = round_down(free / (k + 1), kCacheLineBytes);
+    std::size_t block = std::max<std::size_t>(
+        round_down(one_part / pool_.size(), kCacheLineBytes) / sizeof(T), 64);
+    if (round_up(block * sizeof(T), kCacheLineBytes) > one_part) {
+      block = one_part / sizeof(T);
+    }
     if (block == 0) {
-      const std::size_t cap =
-          static_cast<std::size_t>(hier_.tier(1).stats().free_bytes());
-      // One part's worth must fit even for a single worker — INCLUDING
-      // the cache-line allocation round-up the merge applies per block.
-      // Carve the byte budget first, snap it down to the granularity,
-      // then convert to elements; dividing elements directly used to
-      // leave block sizes whose rounded footprint exceeded the staging
-      // capacity exactly when the pool had one worker.
-      std::size_t block_bytes = cap / ((k + 1) * pool_.size());
-      block_bytes = round_down(block_bytes, kCacheLineBytes);
-      block = std::max<std::size_t>(block_bytes / sizeof(T), 64);
+      throw OutOfMemoryError("DDR cannot stage a cache line per block of a " +
+                             std::to_string(k) + "-way merge");
     }
     return block;
   }

@@ -134,7 +134,7 @@ class CheckpointReader {
 
   std::vector<std::size_t> u64_vec() {
     const std::uint64_t n = u64();
-    need(n * 8, "u64 vector body");
+    need(n, "u64 vector body", 8);
     std::vector<std::size_t> v;
     v.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -154,14 +154,17 @@ class CheckpointReader {
   }
 
  private:
-  void need(std::uint64_t n, const char* what) const {
-    if (n > bytes_.size() - pos_) {
+  /// Throws unless `n` fields of `width` bytes remain (compared as a
+  /// count, so a huge n cannot wrap n * width).
+  void need(std::uint64_t n, const char* what, std::uint64_t width = 1) const {
+    const std::size_t remain = bytes_.size() - pos_;
+    if (n > remain / width) {
       Error e("checkpoint payload truncated");
-      throw e.with_frame({"checkpoint_decode", -1, "", "service",
-                          std::string(what) + " needs " + std::to_string(n) +
-                              " byte(s), " +
-                              std::to_string(bytes_.size() - pos_) +
-                              " remain"});
+      throw e.with_frame(
+          {"checkpoint_decode", -1, "", "service",
+           std::string(what) + " needs " + std::to_string(n) +
+               (width == 1 ? "" : " x " + std::to_string(width)) +
+               " byte(s), " + std::to_string(remain) + " remain"});
     }
   }
 

@@ -1,13 +1,13 @@
 // SortJob: an ExternalMlmSorter run packaged as a service job.
 //
 // The factory adapts the resumable sorter stepper (external_sort.h) to
-// the type-erased JobStepper protocol: one job step = one sorter phase
-// step (StageIn / InnerSort / StageOut per outer chunk, then Merge and
-// MoveHome), which is exactly the suspension granularity the scheduler
-// arbitrates budgets at.  A job admitted via the Degraded decision has
-// no usable near-tier budget, so its inner sorter is switched to the
-// DdrOnly variant before construction — the service-level analogue of
-// HBW_POLICY_PREFERRED falling back to DDR.
+// the type-erased JobStepper protocol: one job step = one stage of the
+// stepper's outer-chunk StepPlan (StageIn / InnerSort / StageOut per
+// plan step, then Merge and MoveHome), which is exactly the suspension
+// granularity the scheduler arbitrates budgets at.  A job admitted via
+// the Degraded decision has no usable near-tier budget, so its inner
+// sorter is switched to the DdrOnly variant before construction — the
+// service-level analogue of HBW_POLICY_PREFERRED falling back to DDR.
 #pragma once
 
 #include <functional>

@@ -113,6 +113,60 @@ TEST(ExternalSort, OversizedOuterChunkRejected) {
                InvalidArgumentError);
 }
 
+MemoryHierarchy small_ddr_hierarchy(std::uint64_t ddr_bytes,
+                                    std::uint64_t mcdram_bytes) {
+  HierarchyConfig cfg;
+  cfg.tiers = {TierConfig{"nvm", MemKind::NVM, 0},
+               TierConfig{"ddr", MemKind::DDR, ddr_bytes},
+               TierConfig{"mcdram", MemKind::MCDRAM, mcdram_bytes}};
+  cfg.mode = McdramMode::Flat;
+  return MemoryHierarchy(cfg);
+}
+
+ExternalSortStats sort_random(MemoryHierarchy& hier, std::size_t workers,
+                              std::size_t n) {
+  ThreadPool pool(workers);
+  std::vector<std::int64_t> data = make_input(n, InputOrder::Random, 9);
+  ExternalMlmSorter<std::int64_t> sorter(hier, pool, ExternalSortConfig{});
+  const ExternalSortStats stats = sorter.sort(std::span<std::int64_t>(data));
+  EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
+  return stats;
+}
+
+// Regression: the default outer chunk was half the free DDR in elements,
+// but the staging buffer and the inner scratch are each rounded up to a
+// cache line, so with 80 spare bytes the two overflowed DDR.
+TEST(ExternalSort, DefaultOuterChunkLeavesRoomForCacheLineRounding) {
+  MemoryHierarchy hier = small_ddr_hierarchy(MiB(2) + 80, MiB(1));
+  const ExternalSortStats stats = sort_random(hier, 4, 300000);
+  EXPECT_EQ(stats.outer_chunks, 3u);
+  EXPECT_EQ(hier.tier(1).stats().used_bytes, 0u);
+}
+
+// Below one element (15 B) or one cache line (100 B) per buffer.
+TEST(ExternalSort, DdrBelowOneLinePerBufferIsOutOfMemory) {
+  for (const std::uint64_t ddr_bytes : {15, 100}) {
+    MemoryHierarchy hier = small_ddr_hierarchy(ddr_bytes, KiB(64));
+    EXPECT_THROW(sort_random(hier, 2, 1000), OutOfMemoryError) << ddr_bytes;
+  }
+}
+
+// Regression: the automatic merge block's 64-element floor overrode the
+// staging fit — 41 blocks of 64 int64 need 20992 B of a 4096 B DDR,
+// while one cache line per block (2624 B) fits.
+TEST(ExternalSort, AutoMergeBlockShrinksToFitOnePart) {
+  MemoryHierarchy hier = small_ddr_hierarchy(4096, KiB(512));
+  const ExternalSortStats stats = sort_random(hier, 2, 10000);
+  EXPECT_EQ(stats.outer_chunks, 40u);
+  EXPECT_TRUE(stats.external_merge_ran);
+}
+
+TEST(ExternalSort, AutoMergeBlockBelowOneLineIsOutOfMemory) {
+  // 79 runs: 80 one-line blocks need 5120 B of the 4096 B DDR.
+  MemoryHierarchy hier = small_ddr_hierarchy(4096, KiB(512));
+  EXPECT_THROW(sort_random(hier, 2, 20000), OutOfMemoryError);
+}
+
 TEST(ExternalMerge, MergesFarRunsThroughTinyBlocks) {
   TripleSpace space = make_space();
   ThreadPool pool(3);

@@ -1,14 +1,17 @@
-// The host pipeline and the merge-bench simulator walk the same
-// StepPlan: the stepper's step count and retirement watermark, and the
-// simulator's step count, must match the plan at every depth.
+// The host pipeline, the external sorter and the merge-bench simulator
+// walk the same StepPlan: the steppers' step counts and retirement
+// watermarks, and the simulator's step count, must match the plan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
 #include "mlm/core/chunk_pipeline.h"
+#include "mlm/core/external_sort.h"
 #include "mlm/knlsim/merge_bench_timeline.h"
 #include "mlm/machine/knl_config.h"
+#include "mlm/parallel/thread_pool.h"
 #include "mlm/support/step_plan.h"
 #include "mlm/support/units.h"
 
@@ -59,6 +62,58 @@ TEST(StepPlanAgreement, StepperStepsAndWatermarkFollowThePlan) {
       expect_stepper_follows(McdramMode::DdrOnly, b, write_back, 1);
     }
   }
+}
+
+// One job step per stage of a depth-1 write-back plan (StageIn, InnerSort,
+// StageOut), then Merge and MoveHome for several runs; the checkpoint
+// watermark counts the StageOuts done, rounding a half-done chunk down.
+void expect_sorter_follows(std::size_t outer_chunk, std::size_t rechunk_to,
+                           std::size_t expect_chunks) {
+  SCOPED_TRACE("outer chunk " + std::to_string(outer_chunk) +
+               ", re-chunk to " + std::to_string(rechunk_to));
+  HierarchyConfig hc;
+  hc.tiers = {TierConfig{"nvm", MemKind::NVM, 0},
+              TierConfig{"ddr", MemKind::DDR, MiB(2)},
+              TierConfig{"mcdram", MemKind::MCDRAM, KiB(256)}};
+  hc.mode = McdramMode::Flat;
+  MemoryHierarchy hier(hc);
+  ThreadPool pool(2);
+  std::vector<std::int64_t> data(2048);
+  std::iota(data.rbegin(), data.rend(), 0);
+
+  // The hook runs at the barrier after every StageOut: it counts them,
+  // and re-chunks the rest of the run once when asked to.
+  std::size_t stage_outs = 0;
+  ExternalSortConfig cfg;
+  cfg.outer_chunk_elements = outer_chunk;
+  cfg.tuning_hook = [&](const StepFeedback&) {
+    StepTuning t;
+    if (stage_outs++ == 0) t.chunk_bytes = rechunk_to * sizeof(std::int64_t);
+    return t;
+  };
+  ExternalMlmSorter<std::int64_t> sorter(hier, pool, cfg);
+  ExternalMlmSorter<std::int64_t>::Stepper stepper(sorter,
+                                                   std::span(data));
+  std::size_t steps = 0;
+  EXPECT_EQ(stepper.checkpoint().next_chunk, 0u);
+  while (!stepper.done()) {
+    stepper.step();
+    ++steps;
+    EXPECT_EQ(stepper.checkpoint().next_chunk, stage_outs)
+        << "after step " << steps;
+  }
+  const std::size_t chunks = stepper.finish().outer_chunks;
+  EXPECT_EQ(chunks, expect_chunks);
+  EXPECT_EQ(stage_outs, chunks);
+  EXPECT_EQ(steps, 3 * StepPlan(1, chunks, true).steps() +
+                       (chunks > 1 ? 2 : 0));
+  EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
+}
+
+TEST(StepPlanAgreement, ExternalSorterStepsAndWatermarkFollowThePlan) {
+  expect_sorter_follows(0, 0, 1);      // the input fits one outer chunk
+  expect_sorter_follows(512, 0, 4);    // several chunks, then the merge
+  expect_sorter_follows(512, 256, 7);  // 512, then 1536 re-chunked at 256
 }
 
 TEST(StepPlanAgreement, MergeBenchStepsFollowThePlan) {

@@ -3,7 +3,9 @@
 // garbage) and the real restore seams — an ExternalMlmSorter stepper
 // and a chunk-pipeline job killed at EVERY step boundary must, when
 // rebuilt from their checkpoint over the surviving far-tier data,
-// finish byte-identical to the uninterrupted run.
+// finish byte-identical to the uninterrupted run.  A seeded mutation
+// sweep checks that a corrupt sort checkpoint fails as a structured
+// error.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include "mlm/service/sort_job.h"
 #include "mlm/sort/input_gen.h"
 #include "mlm/support/error.h"
+#include "mlm/support/proptest.h"
 #include "mlm/support/units.h"
 
 namespace mlm::service {
@@ -85,6 +88,23 @@ TEST(CheckpointCodec, CorruptBooleanIsRejected) {
   const std::vector<std::uint8_t> bytes = {2};
   CheckpointReader r(bytes);
   EXPECT_THROW((void)r.boolean(), Error);
+}
+
+// A u64 vector whose length field is 2^61 + 1 used to wrap the length
+// check (n * 8 == 8) and reach vector::reserve, which threw
+// std::length_error instead of a structured truncation error.
+TEST(CheckpointCodec, HugeVectorLengthIsATruncationError) {
+  CheckpointWriter w;
+  w.u64((std::uint64_t{1} << 61) + 1);
+  w.u64(0);
+  const Checkpoint ckpt{kSortCheckpointKind, w.take()};
+  try {
+    (void)decode_sort_checkpoint(ckpt);
+    FAIL() << "expected a truncation error";
+  } catch (const Error& e) {
+    ASSERT_FALSE(e.chain().empty());
+    EXPECT_EQ(e.chain().front().op, "checkpoint_decode");
+  }
 }
 
 TEST(CheckpointCodec, FlatCheckpointEncodingRoundTrips) {
@@ -188,6 +208,48 @@ TEST(SortStepperRestore, KilledAtEveryStepBoundaryFinishesIdentically) {
     restored.finish();
     EXPECT_EQ(data, expected) << "killed at step " << kill;
   }
+}
+
+// Seeded mutation of an encoded sort checkpoint: every mutant either
+// decodes into a checkpoint a Stepper restores from, or is rejected
+// with a structured mlm::Error — never any other exception.
+TEST(CheckpointFuzz, SortCheckpointMutantsRestoreOrFailStructured) {
+  constexpr std::size_t kN = 2048;
+  constexpr std::size_t kMutants = 2000;
+  std::vector<std::int64_t> data =
+      sort::make_input(kN, sort::InputOrder::Random, 7);
+  MemoryHierarchy hier(three_tier());
+  ThreadPool pool(2, "fuzz");
+  core::ExternalSortCheckpoint c;
+  c.chunk_begins = {0, 512, 1024, 1536, kN};
+  c.next_chunk = 2;
+  const Checkpoint wire = encode_sort_checkpoint(c);
+
+  Gen gen(21);
+  std::size_t restored = 0;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < kMutants; ++i) {
+    Checkpoint mutant = wire;
+    for (std::size_t f = gen.size_in(1, 3); f > 0; --f) {
+      mutant.payload[gen.below(mutant.payload.size())] ^=
+          static_cast<std::uint8_t>(1u << gen.below(8));
+    }
+    try {
+      const core::ExternalSortCheckpoint back =
+          decode_sort_checkpoint(mutant);
+      core::ExternalMlmSorter<std::int64_t> sorter(hier, pool,
+                                                   sort_config());
+      core::ExternalMlmSorter<std::int64_t>::Stepper stepper(
+          sorter, std::span<std::int64_t>(data), back);
+      ++restored;
+    } catch (const Error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " escaped as " << e.what();
+    }
+  }
+  EXPECT_GT(restored, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(PipelineJobRestore, WatermarkResumeNeverReappliesACompute) {
