@@ -17,6 +17,7 @@
 #include "mlm/core/chunk_pipeline.h"
 #include "mlm/core/pipeline_validator.h"
 #include "mlm/fault/fault.h"
+#include "mlm/memory/dual_space.h"
 #include "mlm/parallel/deterministic_executor.h"
 #include "mlm/support/table.h"
 #include "mlm/support/units.h"

@@ -33,7 +33,6 @@
 
 #include "mlm/core/adapt_seam.h"
 #include "mlm/core/degrade.h"
-#include "mlm/memory/dual_space.h"
 #include "mlm/memory/memory_hierarchy.h"
 #include "mlm/parallel/executor.h"
 #include "mlm/parallel/stream_copy.h"
@@ -247,12 +246,6 @@ class ChunkPipelineStepper {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Compatibility overload: the DDR -> MCDRAM pair of a DualSpace.
-PipelineStats run_chunk_pipeline(DualSpace& space,
-                                 std::span<std::byte> data,
-                                 const PipelineConfig& config,
-                                 const ComputeFn& compute);
-
 /// Configuration of a tier-recursive pipeline run.
 struct TieredPipelineConfig {
   /// One entry per tier pair, outermost (farthest pair) first; missing
@@ -296,15 +289,14 @@ TieredPipelineStats run_tiered_pipeline(MemoryHierarchy& hierarchy,
 
 /// Typed convenience wrapper: chunk boundaries are element-aligned.
 template <typename T, typename Fn>
-PipelineStats run_chunk_pipeline_typed(DualSpace& space, std::span<T> data,
+PipelineStats run_chunk_pipeline_typed(TierPair tiers, std::span<T> data,
                                        PipelineConfig config,
                                        Fn&& compute) {
   if (config.chunk_bytes != 0) {
     // Name the tier the chunks stream into so a multi-job degradation
     // log attributes the bad configuration to the right arena.
-    TierPair pair = space.tier_pair();
     const MemorySpace& staged =
-        pair.explicit_copies() ? *pair.near_tier : *pair.far_tier;
+        tiers.explicit_copies() ? *tiers.near_tier : *tiers.far_tier;
     MLM_REQUIRE(config.chunk_bytes >= sizeof(T),
                 "chunk_bytes=" + std::to_string(config.chunk_bytes) +
                     " smaller than one element (tier '" + staged.name() +
@@ -313,7 +305,7 @@ PipelineStats run_chunk_pipeline_typed(DualSpace& space, std::span<T> data,
   }
   auto bytes = std::as_writable_bytes(data);
   return run_chunk_pipeline(
-      space, bytes, config,
+      tiers, bytes, config,
       [&compute](std::span<std::byte> chunk, Executor& pool,
                  std::size_t index) {
         std::span<T> typed{reinterpret_cast<T*>(chunk.data()),

@@ -28,7 +28,6 @@
 #include "mlm/core/mlm_sort.h"
 #include "mlm/fault/fault.h"
 #include "mlm/memory/memory_hierarchy.h"
-#include "mlm/memory/triple_space.h"
 #include "mlm/parallel/parallel_for.h"
 #include "mlm/parallel/parallel_memcpy.h"
 #include "mlm/sort/loser_tree.h"
@@ -233,23 +232,20 @@ struct ExternalSortCheckpoint {
 };
 
 /// Sorts NVM-resident data through DDR and MCDRAM with double chunking.
-/// Operates on the three farthest tiers of an NVM -> DDR -> MCDRAM
-/// MemoryHierarchy (TripleSpace remains accepted as a compatibility
-/// view).
+/// Operates on an NVM -> DDR -> MCDRAM MemoryHierarchy whose DDR tier
+/// has a capacity limit: the outer chunk is carved from free DDR, which
+/// an unlimited tier does not have.
 template <typename T, typename Comp = std::less<>>
 class ExternalMlmSorter {
  public:
   ExternalMlmSorter(MemoryHierarchy& hierarchy, Executor& pool,
                     ExternalSortConfig config, Comp comp = {})
-      : hier_(hierarchy), upper_(hierarchy, 1), pool_(pool),
-        config_(config), comp_(comp) {
+      : hier_(hierarchy), pool_(pool), config_(config), comp_(comp) {
     MLM_REQUIRE(hierarchy.tier_count() == 3,
                 "external sorter needs an NVM -> DDR -> MCDRAM hierarchy");
+    MLM_REQUIRE(hierarchy.tier_config(1).capacity_bytes > 0,
+                "three-level setting requires a DDR capacity limit");
   }
-
-  ExternalMlmSorter(TripleSpace& space, Executor& pool,
-                    ExternalSortConfig config, Comp comp = {})
-      : ExternalMlmSorter(space.hierarchy(), pool, config, comp) {}
 
   /// Resumable form of sort(), the unit the service-layer JobScheduler
   /// drives.  The outer chunks walk a depth-1, write-back StepPlan
@@ -440,7 +436,7 @@ class ExternalMlmSorter {
     void make_inner() {
       MlmSortConfig cfg = s_.config_.inner;
       if (stats_.inner_tier_fallback) cfg.variant = MlmVariant::DdrOnly;
-      inner_.emplace(s_.upper_, s_.pool_, cfg, s_.comp_);
+      inner_.emplace(s_.hier_.pair(1), s_.pool_, cfg, s_.comp_);
     }
 
     // The adaptive seam (mlm/core/adapt_seam.h), consulted at the
@@ -733,7 +729,6 @@ class ExternalMlmSorter {
   }
 
   MemoryHierarchy& hier_;
-  DualSpace upper_;  // view over tiers 1..2 for the inner sorter
   Executor& pool_;
   ExternalSortConfig config_;
   Comp comp_;

@@ -13,7 +13,7 @@
 #include <cstdint>
 
 #include "mlm/core/chunk_pipeline.h"
-#include "mlm/memory/dual_space.h"
+#include "mlm/memory/memory_hierarchy.h"
 
 namespace mlm::core {
 
@@ -38,11 +38,11 @@ struct MergeBenchResult {
   std::uint64_t merges_performed = 0;
 };
 
-/// Run the merge benchmark on host threads against `space`.
+/// Run the merge benchmark on host threads across `tiers`.
 /// `data` must hold config.elements int64 values; each chunk portion's
 /// two halves must be sorted if the caller wants a meaningful merged
 /// order (the benchmark itself only measures streaming work).
-MergeBenchResult run_merge_bench(DualSpace& space,
+MergeBenchResult run_merge_bench(TierPair tiers,
                                  std::span<std::int64_t> data,
                                  const MergeBenchConfig& config);
 

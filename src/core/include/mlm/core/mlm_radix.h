@@ -18,7 +18,7 @@
 #include <span>
 #include <vector>
 
-#include "mlm/memory/dual_space.h"
+#include "mlm/memory/memory_hierarchy.h"
 #include "mlm/parallel/parallel_memcpy.h"
 #include "mlm/parallel/thread_pool.h"
 #include "mlm/sort/multiway_merge.h"
@@ -33,13 +33,13 @@ struct MlmRadixStats {
   bool final_merge_ran = false;
 };
 
-/// Sort `data` (DDR-resident) via MCDRAM-chunked radix sort.
-/// `megachunk_elements` = 0 picks the largest size that leaves room for
-/// the in-MCDRAM ping-pong scratch.
-inline MlmRadixStats mlm_radix_sort(DualSpace& space, ThreadPool& pool,
+/// Sort `data` (resident in the far tier) via near-tier-chunked radix
+/// sort.  `megachunk_elements` = 0 picks the largest size that leaves
+/// room for the in-MCDRAM ping-pong scratch.
+inline MlmRadixStats mlm_radix_sort(TierPair tiers, ThreadPool& pool,
                                     std::span<std::int64_t> data,
                                     std::size_t megachunk_elements = 0) {
-  MLM_REQUIRE(space.has_addressable_mcdram(),
+  MLM_REQUIRE(tiers.explicit_copies(),
               "MLM-radix requires flat/hybrid mode (addressable MCDRAM)");
   MlmRadixStats stats;
   if (data.size() <= 1) {
@@ -48,7 +48,7 @@ inline MlmRadixStats mlm_radix_sort(DualSpace& space, ThreadPool& pool,
   }
 
   const std::size_t cap = static_cast<std::size_t>(
-      space.mcdram().stats().free_bytes() / sizeof(std::int64_t) / 2);
+      tiers.near_tier->stats().free_bytes() / sizeof(std::int64_t) / 2);
   MLM_CHECK_MSG(cap >= 1, "no MCDRAM capacity for radix buffers");
   std::size_t mega = megachunk_elements == 0 ? cap : megachunk_elements;
   MLM_REQUIRE(mega <= cap,
@@ -58,9 +58,9 @@ inline MlmRadixStats mlm_radix_sort(DualSpace& space, ThreadPool& pool,
   const std::vector<IndexRange> chunks = chunk_ranges(data.size(), mega);
   stats.megachunks = chunks.size();
 
-  SpaceBuffer<std::int64_t> work(space.mcdram(), mega);
-  SpaceBuffer<std::int64_t> ping_pong(space.mcdram(), mega);
-  SpaceBuffer<std::int64_t> ddr_runs(space.ddr(), data.size());
+  SpaceBuffer<std::int64_t> work(*tiers.near_tier, mega);
+  SpaceBuffer<std::int64_t> ping_pong(*tiers.near_tier, mega);
+  SpaceBuffer<std::int64_t> ddr_runs(*tiers.far_tier, data.size());
 
   for (const IndexRange& c : chunks) {
     parallel_memcpy(pool, work.data(), data.data() + c.begin,

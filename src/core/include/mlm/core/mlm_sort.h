@@ -41,7 +41,7 @@
 #include <span>
 #include <vector>
 
-#include "mlm/memory/dual_space.h"
+#include "mlm/memory/memory_hierarchy.h"
 #include "mlm/parallel/deterministic_executor.h"
 #include "mlm/parallel/parallel_for.h"
 #include "mlm/parallel/parallel_memcpy.h"
@@ -96,18 +96,19 @@ struct MlmSortStats {
   std::size_t overlapped_copies = 0;
 };
 
-/// Multilevel-memory sorter bound to a memory environment and a worker
+/// Multilevel-memory sorter bound to a far -> near tier pair and a worker
 /// pool.  One MlmSorter can sort many arrays; scratch is allocated per
-/// call and returned to the spaces afterwards.
+/// call and returned to the tiers afterwards.  The data and its scratch
+/// live in the far tier; Flat stages megachunks into the near tier.
 template <typename T, typename Comp = std::less<>>
 class MlmSorter {
  public:
-  MlmSorter(DualSpace& space, Executor& pool, MlmSortConfig config,
+  MlmSorter(TierPair tiers, Executor& pool, MlmSortConfig config,
             Comp comp = {})
-      : space_(space), pool_(pool), config_(config), comp_(comp) {
+      : tiers_(tiers), pool_(pool), config_(config), comp_(comp) {
     if (config_.variant == MlmVariant::Flat) {
-      MLM_REQUIRE(space.has_addressable_mcdram(),
-                  "Flat variant requires a flat/hybrid-mode DualSpace");
+      MLM_REQUIRE(tiers.explicit_copies(),
+                  "Flat variant requires an addressable near tier");
     }
   }
 
@@ -126,7 +127,7 @@ class MlmSorter {
     stats.megachunks = megachunks.size();
 
     // DDR scratch receives the sorted megachunk runs.
-    SpaceBuffer<T> scratch(space_.ddr(), data.size());
+    SpaceBuffer<T> scratch(*tiers_.far_tier, data.size());
 
     run_megachunks(data, scratch, megachunks, stats);
 
@@ -167,7 +168,7 @@ class MlmSorter {
     if (config_.variant == MlmVariant::Flat) {
       // Double buffering needs two megachunks resident at once, and the
       // space rounds each buffer up to a cache line.
-      const std::uint64_t free = space_.mcdram().stats().free_bytes();
+      const std::uint64_t free = tiers_.near_tier->stats().free_bytes();
       const std::size_t buffer_bytes = round_down(
           static_cast<std::size_t>(free / (config_.overlap_copy_in ? 2 : 1)),
           kCacheLineBytes);
@@ -229,7 +230,7 @@ class MlmSorter {
     // pending slices while the buffers are still alive.
     std::vector<SpaceBuffer<T>> bufs;
     for (std::size_t b = 0; flat && b < plan.depth(); ++b) {
-      bufs.emplace_back(space_.mcdram(), megachunks.front().size());
+      bufs.emplace_back(*tiers_.near_tier, megachunks.front().size());
     }
     std::unique_ptr<Executor> copy_pool;
     if (!plan.in_joins_before_compute()) copy_pool = make_copy_pool();
@@ -274,7 +275,7 @@ class MlmSorter {
     return std::make_unique<ThreadPool>(config_.copy_threads, "mlm-copy-in");
   }
 
-  DualSpace& space_;
+  TierPair tiers_;
   Executor& pool_;
   MlmSortConfig config_;
   Comp comp_;
@@ -283,11 +284,11 @@ class MlmSorter {
 
 /// The "basic algorithm" of Section 4: chunk the data, sort each chunk
 /// with the *parallel* sort (GNU-style), merge all chunk runs at the
-/// end.  One chunk at a time, serially: when the space has addressable
-/// MCDRAM each chunk is copied in, sorted there and copied back, else it
-/// is sorted in place.  Used as the Bender-corroboration baseline.
+/// end.  One chunk at a time, serially: when the pair has an addressable
+/// near tier each chunk is copied in, sorted there and copied back, else
+/// it is sorted in place.  Used as the Bender-corroboration baseline.
 template <typename T, typename Comp = std::less<>>
-void basic_chunked_sort(DualSpace& space, Executor& pool,
+void basic_chunked_sort(TierPair tiers, Executor& pool,
                         std::span<T> data, std::size_t chunk_elements,
                         Comp comp = {}) {
   MLM_REQUIRE(chunk_elements >= 1, "chunk size must be positive");
@@ -295,10 +296,10 @@ void basic_chunked_sort(DualSpace& space, Executor& pool,
   const std::vector<IndexRange> chunks =
       chunk_ranges(data.size(), chunk_elements);
 
-  const bool near = space.has_addressable_mcdram();
+  const bool near = tiers.explicit_copies();
   const std::size_t buf_elements = std::min(chunk_elements, data.size());
   SpaceBuffer<T> near_buf;
-  if (near) near_buf = SpaceBuffer<T>(space.mcdram(), buf_elements);
+  if (near) near_buf = SpaceBuffer<T>(*tiers.near_tier, buf_elements);
   std::vector<T> merge_scratch(buf_elements);
   for (const IndexRange& c : chunks) {
     const std::span<T> src = data.subspan(c.begin, c.size());
@@ -313,7 +314,7 @@ void basic_chunked_sort(DualSpace& space, Executor& pool,
   if (chunks.size() == 1) return;
 
   // Final multiway merge of the sorted chunks.
-  SpaceBuffer<T> out(space.ddr(), data.size());
+  SpaceBuffer<T> out(*tiers.far_tier, data.size());
   std::vector<mlm::sort::Run<T>> runs;
   runs.reserve(chunks.size());
   for (const IndexRange& c : chunks) {

@@ -17,7 +17,8 @@
 //                partitioned histogram, i.e. chunking applied to an
 //                irregular kernel.
 //
-// Both run as real host code against a DualSpace; the simulator twin in
+// Both run as real host code against a MemoryHierarchy whose nearest
+// tier is the near memory; the simulator twin in
 // mlm/knlsim/scatter_timeline.h projects the same two strategies onto
 // the KNL memory envelope.
 #pragma once
@@ -27,7 +28,7 @@
 #include <span>
 #include <vector>
 
-#include "mlm/memory/dual_space.h"
+#include "mlm/memory/memory_hierarchy.h"
 #include "mlm/parallel/thread_pool.h"
 
 namespace mlm::core {
@@ -39,7 +40,7 @@ const char* to_string(ScatterStrategy strategy);
 struct ScatterConfig {
   ScatterStrategy strategy = ScatterStrategy::Partitioned;
   /// Number of key-range buckets for the Partitioned strategy; 0 = pick
-  /// so one table slice fits the near space.
+  /// so one table slice fits the nearest tier.
   std::size_t buckets = 0;
 };
 
@@ -51,7 +52,7 @@ struct ScatterStats {
 
 /// Apply `keys` as increments to `table` (key k increments
 /// table[k % table.size()]).  Returns timing/shape statistics.
-ScatterStats run_scatter(DualSpace& space, ThreadPool& pool,
+ScatterStats run_scatter(MemoryHierarchy& hierarchy, ThreadPool& pool,
                          std::span<const std::uint64_t> keys,
                          std::span<std::uint64_t> table,
                          const ScatterConfig& config);

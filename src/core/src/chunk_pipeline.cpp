@@ -533,13 +533,6 @@ PipelineStats run_chunk_pipeline(const TierPair& tiers,
   return stepper.finish();
 }
 
-PipelineStats run_chunk_pipeline(DualSpace& space,
-                                 std::span<std::byte> data,
-                                 const PipelineConfig& config,
-                                 const ComputeFn& compute) {
-  return run_chunk_pipeline(space.tier_pair(), data, config, compute);
-}
-
 TieredPipelineStats run_tiered_pipeline(MemoryHierarchy& hierarchy,
                                         std::span<std::byte> data,
                                         const TieredPipelineConfig& config,

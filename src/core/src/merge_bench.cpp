@@ -10,7 +10,7 @@
 
 namespace mlm::core {
 
-MergeBenchResult run_merge_bench(DualSpace& space,
+MergeBenchResult run_merge_bench(TierPair tiers,
                                  std::span<std::int64_t> data,
                                  const MergeBenchConfig& config) {
   MLM_REQUIRE(config.elements > 0 && data.size() >= config.elements,
@@ -21,10 +21,10 @@ MergeBenchResult run_merge_bench(DualSpace& space,
 
   std::size_t chunk_elems = config.chunk_elements;
   if (chunk_elems == 0) {
-    if (space.has_addressable_mcdram()) {
+    if (tiers.explicit_copies()) {
       // Three pipeline buffers plus one compute scratch buffer.
       chunk_elems = static_cast<std::size_t>(
-          space.mcdram().stats().free_bytes() / 4 / sizeof(std::int64_t));
+          tiers.near_tier->stats().free_bytes() / 4 / sizeof(std::int64_t));
     } else {
       chunk_elems = config.elements;
     }
@@ -32,7 +32,9 @@ MergeBenchResult run_merge_bench(DualSpace& space,
   MLM_REQUIRE(chunk_elems >= 2, "chunk must hold at least two elements");
 
   // Per-chunk compute scratch, in near memory next to the chunk buffers.
-  SpaceBuffer<std::int64_t> scratch(space.near_space(), chunk_elems);
+  SpaceBuffer<std::int64_t> scratch(
+      tiers.explicit_copies() ? *tiers.near_tier : *tiers.far_tier,
+      chunk_elems);
 
   PipelineConfig pcfg;
   pcfg.chunk_bytes = chunk_elems * sizeof(std::int64_t);
@@ -45,7 +47,7 @@ MergeBenchResult run_merge_bench(DualSpace& space,
   MergeBenchResult result;
   Stopwatch timer;
   result.pipeline = run_chunk_pipeline_typed<std::int64_t>(
-      space, data.subspan(0, config.elements), pcfg,
+      tiers, data.subspan(0, config.elements), pcfg,
       [&](std::span<std::int64_t> chunk, Executor& pool,
           std::size_t /*chunk_index*/) {
         // Disperse the chunk among the compute threads; each thread

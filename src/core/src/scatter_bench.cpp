@@ -41,18 +41,20 @@ ScatterStats run_direct(ThreadPool& pool,
   return stats;
 }
 
-ScatterStats run_partitioned(DualSpace& space, ThreadPool& pool,
+ScatterStats run_partitioned(MemoryHierarchy& hierarchy, ThreadPool& pool,
                              std::span<const std::uint64_t> keys,
                              std::span<std::uint64_t> table,
                              std::size_t buckets) {
   const std::size_t w = table.size();
   if (buckets == 0) {
     // One table slice (plus headroom for bucket cursors) per bucket
-    // should fit the near space.
+    // should fit the nearest tier: its free bytes when addressable, else
+    // its physical size (the hardware cache; DdrOnly buckets alike).
+    const std::size_t near = hierarchy.tier_count() - 1;
     const std::uint64_t near_free =
-        space.has_addressable_mcdram()
-            ? space.mcdram().stats().free_bytes()
-            : space.config().mcdram_bytes;  // implicit: HW cache size
+        hierarchy.tier_addressable(near)
+            ? hierarchy.tier(near).stats().free_bytes()
+            : hierarchy.tier_config(near).capacity_bytes;
     const std::uint64_t slice_budget = std::max<std::uint64_t>(
         near_free / 2, 64 * sizeof(std::uint64_t));
     buckets = static_cast<std::size_t>(
@@ -107,7 +109,7 @@ ScatterStats run_partitioned(DualSpace& space, ThreadPool& pool,
 
 }  // namespace
 
-ScatterStats run_scatter(DualSpace& space, ThreadPool& pool,
+ScatterStats run_scatter(MemoryHierarchy& hierarchy, ThreadPool& pool,
                          std::span<const std::uint64_t> keys,
                          std::span<std::uint64_t> table,
                          const ScatterConfig& config) {
@@ -116,7 +118,7 @@ ScatterStats run_scatter(DualSpace& space, ThreadPool& pool,
     case ScatterStrategy::Direct:
       return run_direct(pool, keys, table);
     case ScatterStrategy::Partitioned:
-      return run_partitioned(space, pool, keys, table, config.buckets);
+      return run_partitioned(hierarchy, pool, keys, table, config.buckets);
   }
   MLM_CHECK_MSG(false, "unreachable strategy");
   return {};

@@ -24,7 +24,7 @@
 #include "mlm/knlsim/cache_model.h"
 #include "mlm/knlsim/engine.h"
 #include "mlm/machine/knl_config.h"
-#include "mlm/memory/dual_space.h"
+#include "mlm/memory/memory_hierarchy.h"
 
 namespace mlm::knlsim {
 

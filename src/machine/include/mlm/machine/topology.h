@@ -65,7 +65,8 @@ struct Topology {
 Topology synthetic_topology(std::size_t nodes, std::size_t cpus_per_node);
 
 /// Parse a sysfs cpulist string ("0-3,8,10-11") into cpu ids.  Ignores
-/// whitespace; throws InvalidArgumentError on malformed input.
+/// whitespace around each comma-separated token; throws
+/// InvalidArgumentError on malformed input or an id >= CPU_SETSIZE.
 std::vector<int> parse_cpu_list(const std::string& text);
 
 /// Discover the running machine's topology from

@@ -1,9 +1,13 @@
 #include "mlm/machine/topology.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "mlm/support/error.h"
@@ -33,42 +37,45 @@ Topology synthetic_topology(std::size_t nodes, std::size_t cpus_per_node) {
 
 std::vector<int> parse_cpu_list(const std::string& text) {
   std::vector<int> cpus;
+  const auto is_space = [](unsigned char ch) { return std::isspace(ch) != 0; };
   // A blank file means "no cpus"; an empty token between commas is a
   // malformed list and must not be silently dropped.
-  if (std::all_of(text.begin(), text.end(), [](unsigned char ch) {
-        return std::isspace(ch) != 0;
-      })) {
-    return cpus;
-  }
+  if (std::all_of(text.begin(), text.end(), is_space)) return cpus;
   std::string token;
+  // One cpu id: the whole field in decimal, below CPU_SETSIZE (the ids
+  // an affinity mask can hold).
+  const auto parse_id = [&](std::string_view field) {
+    int id = 0;
+    const char* end = field.data() + field.size();
+    const auto [stop, ec] = std::from_chars(field.data(), end, id);
+    if (ec != std::errc() || stop != end || id >= CPU_SETSIZE) {
+      throw InvalidArgumentError(
+          "parse_cpu_list: bad token '" + token + "' in '" + text +
+          "' (cpu ids are decimal, below " + std::to_string(CPU_SETSIZE) +
+          ")");
+    }
+    return id;
+  };
   std::stringstream ss(text);
   while (std::getline(ss, token, ',')) {
-    // Trim whitespace (sysfs cpulist files end in '\n').
-    token.erase(std::remove_if(token.begin(), token.end(),
-                               [](unsigned char ch) {
-                                 return std::isspace(ch) != 0;
-                               }),
-                token.end());
+    // Trim the token's ends (sysfs cpulist files end in '\n').
+    const auto first = std::find_if_not(token.begin(), token.end(), is_space);
+    const auto last =
+        std::find_if_not(token.rbegin(), token.rend(), is_space).base();
+    token = first < last ? std::string(first, last) : std::string();
     if (token.empty()) {
       throw InvalidArgumentError("parse_cpu_list: empty token in '" + text +
                                  "'");
     }
-    const auto dash = token.find('-');
-    try {
-      if (dash == std::string::npos) {
-        cpus.push_back(std::stoi(token));
-      } else {
-        const int lo = std::stoi(token.substr(0, dash));
-        const int hi = std::stoi(token.substr(dash + 1));
-        MLM_REQUIRE(lo <= hi, "parse_cpu_list: descending range");
-        for (int c = lo; c <= hi; ++c) cpus.push_back(c);
-      }
-    } catch (const std::invalid_argument&) {
-      throw InvalidArgumentError("parse_cpu_list: bad token '" + token +
-                                 "' in '" + text + "'");
-    } catch (const std::out_of_range&) {
-      throw InvalidArgumentError("parse_cpu_list: token out of range '" +
-                                 token + "'");
+    const std::string_view tv(token);
+    const auto dash = tv.find('-');
+    if (dash == std::string_view::npos) {
+      cpus.push_back(parse_id(tv));
+    } else {
+      const int lo = parse_id(tv.substr(0, dash));
+      const int hi = parse_id(tv.substr(dash + 1));
+      MLM_REQUIRE(lo <= hi, "parse_cpu_list: descending range");
+      for (int c = lo; c <= hi; ++c) cpus.push_back(c);
     }
   }
   return cpus;

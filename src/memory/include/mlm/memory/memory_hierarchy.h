@@ -12,9 +12,9 @@
 //
 // The KNL MCDRAM usage mode applies to the nearest tier when its kind is
 // MCDRAM: in cache-like modes that tier has no addressable MemorySpace
-// and chunked code processes data in place one level down, exactly as
-// DualSpace behaves.  DualSpace and TripleSpace are thin compatibility
-// views over 2- and 3-tier hierarchies.
+// and chunked code processes data in place one level down.  Chunked
+// algorithms take the TierPair they stream across, or the whole
+// hierarchy.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +62,7 @@ struct TierConfig {
 struct HierarchyConfig {
   /// Tiers ordered far -> near; at least one entry.
   std::vector<TierConfig> tiers;
-  /// Usage mode applied to MCDRAM-kind tiers (mirrors DualSpaceConfig).
+  /// Usage mode applied to MCDRAM-kind tiers.
   McdramMode mode = McdramMode::Flat;
   /// Scratchpad fraction of an MCDRAM tier in Hybrid mode.
   double hybrid_flat_fraction = 0.5;
@@ -126,8 +126,7 @@ class MemoryHierarchy {
   MemorySpace& farthest() { return tier(0); }
 
   /// The nearest tier software can allocate working buffers in — the
-  /// last addressable tier (implicit/cache modes skip the MCDRAM tier,
-  /// matching DualSpace::near_space()).
+  /// last addressable tier (implicit/cache modes skip the MCDRAM tier).
   MemorySpace& nearest_addressable();
 
   /// The adjacent pair whose far side is tier `far_level`.  The near

@@ -2,35 +2,11 @@
 
 namespace mlm {
 
-DualSpace::DualSpace(const DualSpaceConfig& config) : config_(config) {
-  MLM_REQUIRE(config.mcdram_bytes > 0, "MCDRAM size must be positive");
-  HierarchyConfig hier;
-  hier.mode = config.mode;
-  hier.hybrid_flat_fraction = config.hybrid_flat_fraction;
-  hier.tiers = {
-      TierConfig{"ddr", MemKind::DDR, config.ddr_bytes, 0.0, 0.0, 0.0},
-      TierConfig{"mcdram", MemKind::MCDRAM, config.mcdram_bytes, 0.0, 0.0,
-                 0.0},
-  };
-  owned_ = std::make_unique<MemoryHierarchy>(hier);
-  hier_ = owned_.get();
-}
-
-DualSpace::DualSpace(MemoryHierarchy& hierarchy, std::size_t far_level)
-    : hier_(&hierarchy), far_level_(far_level) {
-  MLM_REQUIRE(far_level + 1 < hierarchy.tier_count(),
-              "dual view needs two adjacent tiers");
-  // Synthesize the legacy config for callers that introspect it.
-  const TierConfig& near_tier = hierarchy.tier_config(far_level + 1);
-  config_.mode = near_tier.kind == MemKind::MCDRAM ? hierarchy.mode()
-                                                   : McdramMode::Flat;
-  config_.mcdram_bytes = near_tier.capacity_bytes;
-  config_.hybrid_flat_fraction = hierarchy.config().hybrid_flat_fraction;
-  config_.ddr_bytes = hierarchy.tier_config(far_level).capacity_bytes;
-}
-
-MemorySpace& DualSpace::near_space() {
-  return has_addressable_mcdram() ? mcdram() : ddr();
-}
+DualSpace::DualSpace(const DualSpaceConfig& config)
+    : hier_(HierarchyConfig{
+          {TierConfig{"ddr", MemKind::DDR, config.ddr_bytes},
+           TierConfig{"mcdram", MemKind::MCDRAM, config.mcdram_bytes}},
+          config.mode,
+          config.hybrid_flat_fraction}) {}
 
 }  // namespace mlm

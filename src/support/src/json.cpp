@@ -190,6 +190,11 @@ std::string JsonValue::dump(int indent) const {
 
 namespace {
 
+// Arrays and objects nest by recursion; deeper documents are rejected
+// before they can exhaust the stack.  The repo's own JSON nests a few
+// levels deep.
+constexpr int kMaxNestingDepth = 512;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -238,8 +243,16 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxNestingDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxNestingDepth));
+        }
+        ++depth_;
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue(parse_string());
       case 't':
         if (!consume_literal("true")) fail("bad literal");
@@ -381,15 +394,17 @@ class Parser {
     const std::string token = text_.substr(start, pos_ - start);
     char* end = nullptr;
     const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
+    if (end != token.c_str() + token.size() || !std::isfinite(v)) {
       pos_ = start;
-      fail("malformed number: " + token);
+      fail((std::isfinite(v) ? "malformed number: "
+                             : "number out of range: ") + token);
     }
     return JsonValue(v);
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

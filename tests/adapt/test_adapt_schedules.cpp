@@ -29,6 +29,7 @@
 #include "mlm/core/chunk_pipeline.h"
 #include "mlm/core/external_sort.h"
 #include "mlm/fault/fault.h"
+#include "mlm/memory/dual_space.h"
 #include "mlm/memory/memory_hierarchy.h"
 #include "mlm/parallel/deterministic_executor.h"
 #include "mlm/sort/input_gen.h"

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <vector>
 
+#include "mlm/memory/dual_space.h"
 #include "mlm/support/error.h"
 #include "mlm/support/units.h"
 

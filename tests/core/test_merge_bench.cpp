@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "mlm/memory/dual_space.h"
 #include "mlm/sort/input_gen.h"
 #include "mlm/support/error.h"
 #include "mlm/support/units.h"

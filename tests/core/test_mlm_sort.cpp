@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "mlm/memory/dual_space.h"
 #include "mlm/sort/input_gen.h"
 #include "mlm/support/error.h"
 #include "mlm/support/units.h"

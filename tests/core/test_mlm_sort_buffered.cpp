@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "mlm/core/mlm_sort.h"
+#include "mlm/memory/dual_space.h"
 #include "mlm/parallel/deterministic_executor.h"
 #include "mlm/sort/input_gen.h"
 #include "mlm/support/error.h"

@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "mlm/memory/dual_space.h"
 #include "mlm/support/error.h"
 #include "mlm/support/units.h"
 
@@ -32,7 +33,8 @@ TEST_P(ScatterStrategyTest, MatchesReference) {
   ScatterConfig cfg;
   cfg.strategy = GetParam();
   const ScatterStats stats =
-      run_scatter(space, pool, keys, std::span<std::uint64_t>(table), cfg);
+      run_scatter(space.hierarchy(), pool, keys,
+                  std::span<std::uint64_t>(table), cfg);
   EXPECT_EQ(table, expect);
   EXPECT_GE(stats.buckets_used, 1u);
   if (GetParam() == ScatterStrategy::Partitioned) {
@@ -57,7 +59,8 @@ TEST(Scatter, SkewedKeysStillExact) {
   scatter_reference(keys, std::span<std::uint64_t>(t1));
   ScatterConfig cfg;
   cfg.strategy = ScatterStrategy::Partitioned;
-  run_scatter(space, pool, keys, std::span<std::uint64_t>(t2), cfg);
+  run_scatter(space.hierarchy(), pool, keys,
+              std::span<std::uint64_t>(t2), cfg);
   EXPECT_EQ(t1, t2);
 }
 
@@ -70,7 +73,8 @@ TEST(Scatter, ExplicitBucketCountHonored) {
   cfg.strategy = ScatterStrategy::Partitioned;
   cfg.buckets = 7;
   const auto stats =
-      run_scatter(space, pool, keys, std::span<std::uint64_t>(table), cfg);
+      run_scatter(space.hierarchy(), pool, keys,
+                  std::span<std::uint64_t>(table), cfg);
   EXPECT_EQ(stats.buckets_used, 7u);
   EXPECT_EQ(std::accumulate(table.begin(), table.end(), 0ull), 10000u);
 }
@@ -84,7 +88,8 @@ TEST(Scatter, MoreBucketsThanSlotsClamped) {
   cfg.strategy = ScatterStrategy::Partitioned;
   cfg.buckets = 50;
   const auto stats =
-      run_scatter(space, pool, keys, std::span<std::uint64_t>(table), cfg);
+      run_scatter(space.hierarchy(), pool, keys,
+                  std::span<std::uint64_t>(table), cfg);
   EXPECT_LE(stats.buckets_used, 10u);
   EXPECT_EQ(std::accumulate(table.begin(), table.end(), 0ull), 100u);
 }
@@ -102,9 +107,31 @@ TEST(Scatter, ImplicitModeUsesCacheSizedSlices) {
   ScatterConfig cfg;
   cfg.strategy = ScatterStrategy::Partitioned;
   const auto stats =
-      run_scatter(space, pool, keys, std::span<std::uint64_t>(table), cfg);
+      run_scatter(space.hierarchy(), pool, keys,
+                  std::span<std::uint64_t>(table), cfg);
   EXPECT_EQ(table, expect);
   EXPECT_GE(stats.buckets_used, 4u);
+}
+
+// In cache-like modes a slice is budgeted against the physical MCDRAM
+// size, not the cache share: DdrOnly caches nothing yet buckets alike.
+TEST(Scatter, AutoBucketsUseThePhysicalMcdramSizeInCacheModes) {
+  ThreadPool pool(2);
+  const auto keys = make_scatter_keys(10000, 1u << 16, 0.0, 5);
+  for (McdramMode mode : {McdramMode::ImplicitCache, McdramMode::Cache,
+                          McdramMode::DdrOnly}) {
+    DualSpaceConfig scfg;
+    scfg.mode = mode;
+    scfg.mcdram_bytes = KiB(256);
+    DualSpace space(scfg);
+    std::vector<std::uint64_t> table(1 << 16, 0);  // 512 KiB
+    ScatterConfig cfg;
+    cfg.strategy = ScatterStrategy::Partitioned;
+    const auto stats = run_scatter(space.hierarchy(), pool, keys,
+                                   std::span<std::uint64_t>(table), cfg);
+    // 512 KiB table over a (256/2) KiB slice budget.
+    EXPECT_EQ(stats.buckets_used, 4u) << to_string(mode);
+  }
 }
 
 TEST(Scatter, EmptyKeysLeaveTableUntouched) {
@@ -112,7 +139,8 @@ TEST(Scatter, EmptyKeysLeaveTableUntouched) {
   ThreadPool pool(2);
   std::vector<std::uint64_t> table(100, 5);
   ScatterConfig cfg;
-  run_scatter(space, pool, {}, std::span<std::uint64_t>(table), cfg);
+  run_scatter(space.hierarchy(), pool, {},
+              std::span<std::uint64_t>(table), cfg);
   EXPECT_TRUE(std::all_of(table.begin(), table.end(),
                           [](std::uint64_t v) { return v == 5; }));
 }
@@ -121,8 +149,9 @@ TEST(Scatter, EmptyTableRejected) {
   DualSpace space = flat_space();
   ThreadPool pool(1);
   const auto keys = make_scatter_keys(10, 10, 0.0, 1);
-  EXPECT_THROW(run_scatter(space, pool, keys, {}, ScatterConfig{}),
-               InvalidArgumentError);
+  EXPECT_THROW(
+      run_scatter(space.hierarchy(), pool, keys, {}, ScatterConfig{}),
+      InvalidArgumentError);
   EXPECT_THROW(scatter_reference(keys, {}), InvalidArgumentError);
 }
 

@@ -15,6 +15,7 @@
 #include "mlm/core/chunk_pipeline.h"
 #include "mlm/core/external_sort.h"
 #include "mlm/fault/fault.h"
+#include "mlm/memory/dual_space.h"
 #include "mlm/parallel/deterministic_executor.h"
 #include "mlm/parallel/thread_pool.h"
 #include "mlm/sort/input_gen.h"
@@ -207,13 +208,12 @@ constexpr std::size_t kSortElements = 4000;
 constexpr const char* kDdrStaging = "sort.external.ddr_staging";
 
 // 512 KiB "MCDRAM", 2 MiB "DDR", unlimited NVM.
-TripleSpace small_triple_space() {
-  TripleSpaceConfig cfg;
-  cfg.mode = McdramMode::Flat;
-  cfg.mcdram_bytes = KiB(512);
-  cfg.ddr_bytes = MiB(2);
-  cfg.nvm_bytes = 0;
-  return TripleSpace(cfg);
+MemoryHierarchy three_tier_hierarchy() {
+  return MemoryHierarchy(HierarchyConfig{
+      {TierConfig{"nvm", MemKind::NVM, 0},
+       TierConfig{"ddr", MemKind::DDR, MiB(2)},
+       TierConfig{"mcdram", MemKind::MCDRAM, KiB(512)}},
+      McdramMode::Flat});
 }
 
 ExternalSortConfig staging_config() {
@@ -225,7 +225,8 @@ ExternalSortConfig staging_config() {
 
 // NVM-resident random input, allocated before any fault plan is armed.
 struct NvmInput {
-  explicit NvmInput(TripleSpace& space) : buf(space.nvm(), kSortElements) {
+  explicit NvmInput(MemoryHierarchy& hier)
+      : buf(hier.tier(0), kSortElements) {
     const auto init = sort::make_input(kSortElements,
                                        sort::InputOrder::Random, 11);
     std::copy(init.begin(), init.end(), buf.data());
@@ -245,12 +246,12 @@ void arm_staging_exhaustion(fault::FaultPlan& plan) {
 }
 
 TEST(DegradeSorterStaging, TransientExhaustionCostsOneRecordedRetry) {
-  TripleSpace space = small_triple_space();
+  MemoryHierarchy hier = three_tier_hierarchy();
   ThreadPool pool(2);
-  NvmInput input(space);
+  NvmInput input(hier);
   ExternalSortConfig cfg = staging_config();
   cfg.degrade.max_retries = 1;
-  ExternalMlmSorter<std::int64_t> sorter(space, pool, cfg);
+  ExternalMlmSorter<std::int64_t> sorter(hier, pool, cfg);
 
   fault::FaultPlan plan;
   arm_staging_exhaustion(plan);
@@ -267,13 +268,13 @@ TEST(DegradeSorterStaging, TransientExhaustionCostsOneRecordedRetry) {
 }
 
 TEST(DegradeSorterStaging, HalvingRungShrinksTheOuterChunk) {
-  TripleSpace space = small_triple_space();
+  MemoryHierarchy hier = three_tier_hierarchy();
   ThreadPool pool(2);
-  NvmInput input(space);
+  NvmInput input(hier);
   ExternalSortConfig cfg = staging_config();
   cfg.degrade.allow_chunk_halving = true;
   cfg.degrade.min_chunk_bytes = 1024;
-  ExternalMlmSorter<std::int64_t> sorter(space, pool, cfg);
+  ExternalMlmSorter<std::int64_t> sorter(hier, pool, cfg);
 
   fault::FaultPlan plan;
   arm_staging_exhaustion(plan);
@@ -291,13 +292,13 @@ TEST(DegradeSorterStaging, HalvingRungShrinksTheOuterChunk) {
 // Regression: the sorter used to halve the element count (1000 -> 500
 // int64 = 4000 B), breaking the 64-byte-aligned halving rule.
 TEST(DegradeSorterStaging, HalvedOuterChunkStaysCacheLineAligned) {
-  TripleSpace space = small_triple_space();
+  MemoryHierarchy hier = three_tier_hierarchy();
   ThreadPool pool(2);
-  NvmInput input(space);
+  NvmInput input(hier);
   ExternalSortConfig cfg = staging_config();
   cfg.degrade.allow_chunk_halving = true;
   cfg.degrade.min_chunk_bytes = 1024;
-  ExternalMlmSorter<std::int64_t> sorter(space, pool, cfg);
+  ExternalMlmSorter<std::int64_t> sorter(hier, pool, cfg);
 
   fault::FaultPlan plan;
   arm_staging_exhaustion(plan);
@@ -317,10 +318,10 @@ TEST(DegradeSorterStaging, HalvedOuterChunkStaysCacheLineAligned) {
 }
 
 TEST(DegradeSorterStaging, LadderOffIsAStructuredError) {
-  TripleSpace space = small_triple_space();
+  MemoryHierarchy hier = three_tier_hierarchy();
   ThreadPool pool(2);
-  NvmInput input(space);
-  ExternalMlmSorter<std::int64_t> sorter(space, pool, staging_config());
+  NvmInput input(hier);
+  ExternalMlmSorter<std::int64_t> sorter(hier, pool, staging_config());
 
   fault::FaultPlan plan;
   arm_staging_exhaustion(plan);
@@ -332,7 +333,7 @@ TEST(DegradeSorterStaging, LadderOffIsAStructuredError) {
     const auto& chain = e.chain();
     ASSERT_EQ(chain.size(), 2u);
     EXPECT_EQ(chain[0].op, "ddr_staging_alloc");
-    EXPECT_EQ(chain[0].tier, space.ddr().name());
+    EXPECT_EQ(chain[0].tier, hier.tier(1).name());
     EXPECT_EQ(chain[0].thread, "orchestrator");
     EXPECT_EQ(chain[0].detail, "outer_chunk_elements=1000");
     EXPECT_EQ(chain[1].op, "external_sort");
@@ -342,10 +343,10 @@ TEST(DegradeSorterStaging, LadderOffIsAStructuredError) {
 // The restore constructor walks the retry rung only; with the ladder
 // off its error names the checkpointed chunk it had to fit.
 TEST(DegradeSorterStaging, RestoreLadderOffNamesTheCheckpointedChunk) {
-  TripleSpace space = small_triple_space();
+  MemoryHierarchy hier = three_tier_hierarchy();
   ThreadPool pool(2);
-  NvmInput input(space);
-  ExternalMlmSorter<std::int64_t> sorter(space, pool, staging_config());
+  NvmInput input(hier);
+  ExternalMlmSorter<std::int64_t> sorter(hier, pool, staging_config());
   ExternalSortCheckpoint ckpt;
   ckpt.chunk_begins = {0, 1000, 2000, 3000, kSortElements};
 
@@ -368,14 +369,14 @@ TEST(DegradeSorterStaging, RestoreLadderOffNamesTheCheckpointedChunk) {
 // Regression: the sorter used to sleep through its backoff even on a
 // deterministic executor, where DegradePolicy promises it never sleeps.
 TEST(DegradeSorterBackoff, DeterministicExecutorNeverSleeps) {
-  TripleSpace space = small_triple_space();
+  MemoryHierarchy hier = three_tier_hierarchy();
   DeterministicScheduler sched(3);
   DeterministicExecutor pool(sched, 2, "pool");
-  NvmInput input(space);
+  NvmInput input(hier);
   ExternalSortConfig cfg = staging_config();
   cfg.degrade.max_retries = 1;
   cfg.degrade.backoff_us = 1'000'000;
-  ExternalMlmSorter<std::int64_t> sorter(space, pool, cfg);
+  ExternalMlmSorter<std::int64_t> sorter(hier, pool, cfg);
 
   fault::FaultPlan plan;
   plan.arm(fault::sites::kExternalSortStageIn,

@@ -9,6 +9,7 @@
 
 #include "mlm/core/chunk_pipeline.h"
 #include "mlm/core/mlm_sort.h"
+#include "mlm/memory/dual_space.h"
 #include "mlm/memory/memkind_shim.h"
 #include "mlm/sort/input_gen.h"
 #include "mlm/support/error.h"

@@ -6,11 +6,14 @@
 #include "mlm/machine/topology.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "mlm/support/error.h"
+#include "mlm/support/proptest.h"
 
 namespace mlm {
 namespace {
@@ -41,6 +44,64 @@ TEST(ParseCpuList, RejectsMalformedInput) {
   EXPECT_THROW(parse_cpu_list("3-1"), InvalidArgumentError);
   EXPECT_THROW(parse_cpu_list("1,,2"), InvalidArgumentError);
   EXPECT_THROW(parse_cpu_list("1-"), InvalidArgumentError);
+}
+
+// Each id is a whole decimal field: trailing garbage, a second dash, a
+// hex prefix or whitespace inside a token is malformed, not truncated.
+TEST(ParseCpuList, RejectsPartialNumbers) {
+  for (const char* bad : {"3x", "1-2-3", "0-3abc", "0x10", "2 3", "1 - 2",
+                          "-1", "+5", "4,5x"}) {
+    EXPECT_THROW(parse_cpu_list(bad), InvalidArgumentError) << bad;
+  }
+  EXPECT_EQ(parse_cpu_list("\t0-1 ,2\n"), (std::vector<int>{0, 1, 2}));
+}
+
+// An affinity mask holds ids below CPU_SETSIZE; a larger id or range end
+// is rejected before any id is expanded.
+TEST(ParseCpuList, RejectsIdsAnAffinityMaskCannotHold) {
+  ASSERT_THROW(parse_cpu_list("0-1048575"), InvalidArgumentError);
+  EXPECT_THROW(parse_cpu_list(std::to_string(CPU_SETSIZE)),
+               InvalidArgumentError);
+  EXPECT_THROW(parse_cpu_list("0-" + std::to_string(CPU_SETSIZE)),
+               InvalidArgumentError);
+  EXPECT_THROW(parse_cpu_list("99999999999"), InvalidArgumentError);
+  EXPECT_EQ(parse_cpu_list(std::to_string(CPU_SETSIZE - 1)),
+            (std::vector<int>{CPU_SETSIZE - 1}));
+}
+
+// Seeded mutation of a sysfs cpulist: every mutant yields ids an
+// affinity mask can hold, or throws InvalidArgumentError.
+TEST(ParseCpuList, MutantsYieldIdsInRangeOrFailStructured) {
+  const std::string base = "0-3,8,10-11,64-127\n";
+  constexpr char kBytes[] = "0123456789-, \n\tx";
+  Gen gen(24);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < 2000; ++i) {
+    std::string m = base;
+    for (std::size_t op = gen.size_in(1, 3); op > 0 && !m.empty(); --op) {
+      const std::size_t at = gen.below(m.size());
+      const char byte = kBytes[gen.below(sizeof kBytes - 1)];
+      switch (gen.below(3)) {
+        case 0: m[at] = byte; break;
+        case 1: m.insert(m.begin() + static_cast<std::ptrdiff_t>(at), byte);
+                break;
+        default: m.erase(at, 1);
+      }
+    }
+    try {
+      for (int id : parse_cpu_list(m)) {
+        ASSERT_TRUE(id >= 0 && id < CPU_SETSIZE) << "mutant '" << m << "'";
+      }
+      ++parsed;
+    } catch (const InvalidArgumentError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant '" << m << "' escaped as " << e.what();
+    }
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(DiscoverTopology, NeverThrowsAndReportsItsSource) {

@@ -18,41 +18,41 @@ DualSpaceConfig cfg(McdramMode mode, std::uint64_t mcdram = GiB(1),
 
 TEST(DualSpace, FlatModeExposesAllMcdram) {
   DualSpace ds(cfg(McdramMode::Flat));
-  EXPECT_TRUE(ds.has_addressable_mcdram());
-  EXPECT_EQ(ds.addressable_mcdram_bytes(), GiB(1));
-  EXPECT_EQ(ds.cache_mcdram_bytes(), 0u);
+  EXPECT_TRUE(ds.hierarchy().tier_addressable(1));
+  EXPECT_EQ(ds.hierarchy().addressable_bytes(1), GiB(1));
+  EXPECT_EQ(ds.hierarchy().cache_bytes(1), 0u);
   EXPECT_EQ(ds.mcdram().capacity_bytes(), GiB(1));
-  EXPECT_EQ(&ds.near_space(), &ds.mcdram());
+  EXPECT_EQ(&ds.hierarchy().nearest_addressable(), &ds.mcdram());
 }
 
 TEST(DualSpace, CacheModeHasNoAddressableMcdram) {
   DualSpace ds(cfg(McdramMode::Cache));
-  EXPECT_FALSE(ds.has_addressable_mcdram());
-  EXPECT_EQ(ds.addressable_mcdram_bytes(), 0u);
-  EXPECT_EQ(ds.cache_mcdram_bytes(), GiB(1));
+  EXPECT_FALSE(ds.hierarchy().tier_addressable(1));
+  EXPECT_EQ(ds.hierarchy().addressable_bytes(1), 0u);
+  EXPECT_EQ(ds.hierarchy().cache_bytes(1), GiB(1));
   EXPECT_THROW(ds.mcdram(), Error);
-  EXPECT_EQ(&ds.near_space(), &ds.ddr());
+  EXPECT_EQ(&ds.hierarchy().nearest_addressable(), &ds.ddr());
 }
 
 TEST(DualSpace, ImplicitCacheBehavesLikeCacheForAllocation) {
   DualSpace ds(cfg(McdramMode::ImplicitCache));
-  EXPECT_FALSE(ds.has_addressable_mcdram());
-  EXPECT_EQ(ds.cache_mcdram_bytes(), GiB(1));
+  EXPECT_FALSE(ds.hierarchy().tier_addressable(1));
+  EXPECT_EQ(ds.hierarchy().cache_bytes(1), GiB(1));
 }
 
 TEST(DualSpace, HybridSplitsMcdram) {
   DualSpace ds(cfg(McdramMode::Hybrid, GiB(1), 0.25));
-  EXPECT_TRUE(ds.has_addressable_mcdram());
-  EXPECT_EQ(ds.addressable_mcdram_bytes(), GiB(1) / 4);
-  EXPECT_EQ(ds.cache_mcdram_bytes(), GiB(1) * 3 / 4);
+  EXPECT_TRUE(ds.hierarchy().tier_addressable(1));
+  EXPECT_EQ(ds.hierarchy().addressable_bytes(1), GiB(1) / 4);
+  EXPECT_EQ(ds.hierarchy().cache_bytes(1), GiB(1) * 3 / 4);
   EXPECT_EQ(ds.mcdram().capacity_bytes(), GiB(1) / 4);
 }
 
 TEST(DualSpace, DdrOnlyUsesNoMcdram) {
   DualSpace ds(cfg(McdramMode::DdrOnly));
-  EXPECT_FALSE(ds.has_addressable_mcdram());
-  EXPECT_EQ(ds.cache_mcdram_bytes(), 0u);
-  EXPECT_EQ(&ds.near_space(), &ds.ddr());
+  EXPECT_FALSE(ds.hierarchy().tier_addressable(1));
+  EXPECT_EQ(ds.hierarchy().cache_bytes(1), 0u);
+  EXPECT_EQ(&ds.hierarchy().nearest_addressable(), &ds.ddr());
 }
 
 TEST(DualSpace, McdramCapacityEnforced) {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -33,7 +33,7 @@ TEST(MemcpyStreaming, ByteExactAcrossSizesAndAlignments) {
       const auto src = random_bytes(n, n * 31 + off + 1);
       std::vector<unsigned char> dst(n + off + 16, 0xEE);
       std::vector<unsigned char> expect = dst;
-      std::memcpy(expect.data() + off, src.data(), n);
+      std::copy(src.begin(), src.end(), expect.begin() + off);
       memcpy_streaming(dst.data() + off, src.data(), n);
       ASSERT_EQ(dst, expect) << "n=" << n << " off=" << off;
     }

@@ -14,6 +14,7 @@
 
 #include "mlm/core/pipeline_validator.h"
 #include "mlm/fault/fault.h"
+#include "mlm/memory/dual_space.h"
 #include "mlm/parallel/deterministic_executor.h"
 #include "mlm/support/units.h"
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -174,9 +175,8 @@ TEST_P(SortRecordsProperty, LayoutsAgreeWithStableReference) {
     sort_records<56>(pool, std::span<Record64>(data),
                      std::span<Record64>(scratch), layout);
     ASSERT_EQ(data.size(), expect.size());
-    EXPECT_EQ(std::memcmp(data.data(), expect.data(),
-                          n * sizeof(Record64)),
-              0)
+    EXPECT_TRUE(std::ranges::equal(std::as_bytes(std::span(data)),
+                                   std::as_bytes(std::span(expect))))
         << "layout " << to_string(layout) << " diverged from the stable "
         << "reference on " << to_string(order) << " n=" << n;
   }
@@ -271,23 +271,21 @@ TEST(ExternalSplitMerge, MatchesAosExternalMerge) {
 // layer's sort jobs run.
 TEST(ExternalSorter, MergeLayoutDispatchIsByteIdentical) {
   // Small three-level machine so the outer merge actually runs.
-  TripleSpaceConfig space_cfg;
-  space_cfg.mode = McdramMode::Flat;
-  space_cfg.mcdram_bytes = 64 * 1024;
-  space_cfg.ddr_bytes = 256 * 1024;
-  space_cfg.nvm_bytes = 0;
-
   const std::size_t n = (1024 * 1024) / sizeof(Record64);  // 4x DDR
   const auto input = make_records<56>(n, InputOrder::FewDistinct, 21);
 
-  TripleSpace space(space_cfg);
+  MemoryHierarchy hier(HierarchyConfig{
+      {TierConfig{"nvm", MemKind::NVM, 0},
+       TierConfig{"ddr", MemKind::DDR, 256 * 1024},
+       TierConfig{"mcdram", MemKind::MCDRAM, 64 * 1024}},
+      McdramMode::Flat});
   ThreadPool pool(4);
-  SpaceBuffer<Record64> data(space.nvm(), n);
+  SpaceBuffer<Record64> data(hier.tier(0), n);
   std::copy(input.begin(), input.end(), data.data());
 
   core::ExternalSortConfig cfg;
   cfg.inner.variant = core::MlmVariant::Flat;
-  core::ExternalMlmSorter<Record64> sorter(space, pool, cfg);
+  core::ExternalMlmSorter<Record64> sorter(hier, pool, cfg);
   const core::ExternalSortStats stats =
       sorter.sort(std::span<Record64>(data.data(), n));
   EXPECT_TRUE(stats.external_merge_ran);

@@ -4,10 +4,13 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 
 #include "mlm/support/error.h"
+#include "mlm/support/proptest.h"
 
 namespace mlm {
 namespace {
@@ -115,6 +118,79 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW(json_parse("{} trailing"), JsonParseError);
   EXPECT_THROW(json_parse("{\"dup\":1,\"dup\":2}"), JsonParseError);
   EXPECT_THROW(json_parse("\"bad\\q\""), JsonParseError);
+}
+
+// Arrays and objects recurse; a document nested past the limit is a
+// parse error, not a stack overflow.
+TEST(JsonParse, DeepNestingIsAParseError) {
+  constexpr std::size_t kDeep = 100000;
+  EXPECT_THROW(json_parse(std::string(kDeep, '[')), JsonParseError);
+  EXPECT_THROW(json_parse(std::string(kDeep, '[') + std::string(kDeep, ']')),
+               JsonParseError);
+  std::string objects;
+  for (std::size_t i = 0; i < kDeep; ++i) objects += "{\"a\":";
+  EXPECT_THROW(json_parse(objects), JsonParseError);
+  const JsonValue shallow =
+      json_parse(std::string(100, '[') + std::string(100, ']'));
+  EXPECT_EQ(shallow.size(), 1u);
+}
+
+// JSON has no infinity; a number strtod overflows would not dump back.
+TEST(JsonParse, OutOfRangeNumberIsAParseError) {
+  EXPECT_THROW(json_parse("1e999"), JsonParseError);
+  EXPECT_THROW(json_parse("[-1e400]"), JsonParseError);
+  EXPECT_EQ(json_parse("1e-400").as_number(), 0.0);
+}
+
+// Seeded mutation of the checked-in smoke baseline, the largest JSON
+// file the tools read: every mutant parses or throws JsonParseError,
+// and a mutant that parses round-trips through dump().
+TEST(JsonFuzz, SmokeBaselineMutantsParseOrFailStructured) {
+  constexpr std::size_t kMutants = 200;
+  constexpr char kSignificant[] = "[]{}\",:.-+eE0123456789 \\ntfu";
+  std::ifstream in(MLM_SMOKE_BASELINE);
+  ASSERT_TRUE(in.is_open()) << MLM_SMOKE_BASELINE;
+  std::ostringstream os;
+  os << in.rdbuf();
+  const std::string text = os.str();
+
+  Gen gen(24);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < kMutants; ++i) {
+    std::string m = text;
+    switch (gen.below(4)) {
+      case 0:  // flip 1-3 bits
+        for (std::size_t f = gen.size_in(1, 3); f > 0; --f) {
+          m[gen.below(m.size())] ^= static_cast<char>(1u << gen.below(8));
+        }
+        break;
+      case 1:  // overwrite a byte with one the grammar cares about
+        m[gen.below(m.size())] =
+            kSignificant[gen.below(sizeof kSignificant - 1)];
+        break;
+      case 2:  // truncate
+        m.resize(gen.below(m.size()));
+        break;
+      default: {  // nest arrays after a key, up to far past the limit
+        const std::size_t colon = m.find(':', gen.below(m.size()));
+        if (colon != std::string::npos) {
+          m.insert(colon + 1, std::string(gen.size_in(1, 100000), '['));
+        }
+      }
+    }
+    try {
+      const std::string dumped = json_parse(m).dump();
+      EXPECT_EQ(json_parse(dumped).dump(), dumped) << "mutant " << i;
+      ++parsed;
+    } catch (const JsonParseError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " escaped as " << e.what();
+    }
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(JsonFile, WriteAndParseFile) {
