@@ -116,9 +116,9 @@ struct PipelineTraceConfig {
 /// Pipeline configuration.
 struct PipelineConfig {
   /// Chunk size in bytes; must allow `buffering` live buffers in the
-  /// near space when explicit copies are used.  0 = near capacity
-  /// divided by the buffer count (the whole span when the near tier is
-  /// unlimited or absent).
+  /// near space when explicit copies are used.  0 = as large as the
+  /// buffer count allows (the whole span when the near tier is unlimited
+  /// or absent).
   std::size_t chunk_bytes = 0;
   PoolSizes pools;
   /// Topology placement for the three pools

@@ -32,7 +32,6 @@
 #include "mlm/parallel/parallel_memcpy.h"
 #include "mlm/sort/loser_tree.h"
 #include "mlm/sort/multiway_merge.h"
-#include "mlm/support/cache_line.h"
 #include "mlm/support/error.h"
 #include "mlm/support/step_plan.h"
 #include "mlm/support/stopwatch.h"
@@ -56,18 +55,14 @@ void external_multiway_merge(Executor& pool, MemorySpace& staging,
   MLM_REQUIRE(block_elements >= 1, "block must hold at least one element");
   const std::size_t k = runs.size();
   // Clamp the part count so every part's staging footprint — k input
-  // blocks + 1 output block, each rounded up to the space's cache-line
-  // allocation granularity — fits in `staging`.  An empty merge stages
+  // blocks + 1 output block — fits in `staging`.  An empty merge stages
   // nothing, so it needs no staging room.
   std::size_t max_parts = pool.size();
-  if (!staging.unlimited() && !out.empty()) {
-    const std::size_t block_bytes =
-        round_up(block_elements * sizeof(T), kCacheLineBytes);
-    const std::size_t per_part_bytes = (k + 1) * block_bytes;
-    const std::size_t cap = staging.stats().free_bytes();
-    MLM_REQUIRE(per_part_bytes <= cap,
+  if (!out.empty()) {
+    const std::size_t block_bytes = block_elements * sizeof(T);
+    MLM_REQUIRE(staging.would_fit(block_bytes, k + 1),
                 "staging space cannot hold even one part's merge blocks");
-    max_parts = std::min(max_parts, cap / per_part_bytes);
+    while (!staging.would_fit(block_bytes, (k + 1) * max_parts)) --max_parts;
   }
   auto parts = mlm::sort::plan_merge_parts(runs, out.size(), max_parts, comp);
 
@@ -138,9 +133,8 @@ void external_multiway_merge(Executor& pool, MemorySpace& staging,
 
 /// Configuration of the NVM-level sorter.
 struct ExternalSortConfig {
-  /// Outer (NVM -> DDR) chunk in elements; 0 = as large as DDR allows
-  /// (half the free DDR, rounded down to a cache line: chunk +
-  /// inner-sort scratch).
+  /// Outer (NVM -> DDR) chunk in elements; 0 = as large as two DDR
+  /// buffers allow (chunk + inner-sort scratch).
   std::size_t outer_chunk_elements = 0;
   /// Inner sorter configuration (two-level MLM-sort in DDR+MCDRAM).
   /// Its own trace fields route megachunk-level events to a track of the
@@ -233,8 +227,7 @@ struct ExternalSortCheckpoint {
 
 /// Sorts NVM-resident data through DDR and MCDRAM with double chunking.
 /// Operates on an NVM -> DDR -> MCDRAM MemoryHierarchy whose DDR tier
-/// has a capacity limit: the outer chunk is carved from free DDR, which
-/// an unlimited tier does not have.
+/// has a capacity limit: an unlimited tier gives no outer chunk size.
 template <typename T, typename Comp = std::less<>>
 class ExternalMlmSorter {
  public:
@@ -691,41 +684,26 @@ class ExternalMlmSorter {
     trace_emit(config_.trace_track, name, t0);
   }
 
-  // The staging buffer and the inner sorter's scratch share DDR, each
-  // rounded up to a cache line: carve bytes per buffer and snap them
-  // down before converting to elements.
+  // The staging buffer and the inner sorter's scratch share DDR.
   std::size_t resolve_outer_chunk() const {
-    const std::size_t free = hier_.tier(1).stats().free_bytes();
-    const std::size_t cap = round_down(free / 2, kCacheLineBytes) / sizeof(T);
-    if (cap == 0) {
-      throw OutOfMemoryError("DDR has no room for an outer chunk and its "
-                             "inner scratch: " + std::to_string(free) +
-                             " bytes free");
-    }
+    const std::size_t cap = hier_.tier(1).fit_elements(2, sizeof(T));
     const std::size_t outer = config_.outer_chunk_elements;
     MLM_REQUIRE(outer <= cap,
                 "outer chunk plus inner scratch exceed DDR capacity");
     return outer != 0 ? outer : cap;
   }
 
-  // A merge part stages k + 1 blocks, each rounded up to a cache line.
-  // The automatic block splits free DDR over every worker's part, with a
-  // 64-element floor unless that leaves no room for one part: then it is
-  // the widest cache-line multiple that fits.
+  // A merge part stages k + 1 blocks.  The automatic block splits DDR
+  // over every worker's part, with a 64-element floor unless that leaves
+  // no room for one part: then it is the widest block one part fits.
   std::size_t resolve_merge_block(std::size_t k) const {
     if (config_.merge_block_elements != 0) return config_.merge_block_elements;
-    const std::size_t free = hier_.tier(1).stats().free_bytes();
-    const std::size_t one_part = round_down(free / (k + 1), kCacheLineBytes);
-    std::size_t block = std::max<std::size_t>(
-        round_down(one_part / pool_.size(), kCacheLineBytes) / sizeof(T), 64);
-    if (round_up(block * sizeof(T), kCacheLineBytes) > one_part) {
-      block = one_part / sizeof(T);
+    const MemorySpace& ddr = hier_.tier(1);
+    const std::size_t all_parts = (k + 1) * pool_.size();
+    if (ddr.would_fit(64 * sizeof(T), all_parts)) {
+      return ddr.fit_elements(all_parts, sizeof(T));
     }
-    if (block == 0) {
-      throw OutOfMemoryError("DDR cannot stage a cache line per block of a " +
-                             std::to_string(k) + "-way merge");
-    }
-    return block;
+    return std::min<std::size_t>(ddr.fit_elements(k + 1, sizeof(T)), 64);
   }
 
   MemoryHierarchy& hier_;

@@ -20,8 +20,8 @@ namespace mlm::core {
 struct MergeBenchConfig {
   /// Total data size in elements (int64).
   std::size_t elements = 0;
-  /// Chunk size in elements; 0 = near capacity / 4 (three pipeline
-  /// buffers plus the compute scratch buffer).
+  /// Chunk size in elements; 0 = as large as four near buffers allow
+  /// (three pipeline buffers plus the compute scratch buffer).
   std::size_t chunk_elements = 0;
   /// Copy threads per direction.
   std::size_t copy_threads = 1;

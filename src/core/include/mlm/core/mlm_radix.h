@@ -5,8 +5,8 @@
 // the kind of kernel that should be rewritten for MLM: every radix pass
 // that would have streamed DDR instead streams MCDRAM.
 //
-//   1. divide the input into megachunks of at most HALF the MCDRAM
-//      (the radix passes ping-pong between two resident buffers),
+//   1. divide the input into megachunks that fit two MCDRAM buffers
+//      (the radix passes ping-pong between them),
 //   2. copy each megachunk in, run the parallel LSD radix sort entirely
 //      inside MCDRAM, and write the sorted run back to DDR,
 //   3. finish with the same parallel multiway merge MLM-sort uses.
@@ -35,7 +35,8 @@ struct MlmRadixStats {
 
 /// Sort `data` (resident in the far tier) via near-tier-chunked radix
 /// sort.  `megachunk_elements` = 0 picks the largest size that leaves
-/// room for the in-MCDRAM ping-pong scratch.
+/// room for the in-MCDRAM ping-pong scratch (the whole input when the
+/// near tier is unlimited).
 inline MlmRadixStats mlm_radix_sort(TierPair tiers, ThreadPool& pool,
                                     std::span<std::int64_t> data,
                                     std::size_t megachunk_elements = 0) {
@@ -47,9 +48,8 @@ inline MlmRadixStats mlm_radix_sort(TierPair tiers, ThreadPool& pool,
     return stats;
   }
 
-  const std::size_t cap = static_cast<std::size_t>(
-      tiers.near_tier->stats().free_bytes() / sizeof(std::int64_t) / 2);
-  MLM_CHECK_MSG(cap >= 1, "no MCDRAM capacity for radix buffers");
+  const std::size_t cap =
+      tiers.near_tier->fit_elements(2, sizeof(std::int64_t));
   std::size_t mega = megachunk_elements == 0 ? cap : megachunk_elements;
   MLM_REQUIRE(mega <= cap,
               "megachunk plus radix scratch exceed MCDRAM capacity");

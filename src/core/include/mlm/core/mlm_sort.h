@@ -49,7 +49,6 @@
 #include "mlm/sort/multiway_merge.h"
 #include "mlm/sort/parallel_sort.h"
 #include "mlm/sort/serial_sort.h"
-#include "mlm/support/cache_line.h"
 #include "mlm/support/error.h"
 #include "mlm/support/step_plan.h"
 #include "mlm/support/stopwatch.h"
@@ -65,8 +64,9 @@ const char* to_string(MlmVariant variant);
 struct MlmSortConfig {
   MlmVariant variant = MlmVariant::Flat;
   /// Megachunk size in elements.  0 = as large as the near memory allows
-  /// (Flat) or the whole problem (Implicit/DdrOnly) — the choices the
-  /// paper found best (§4.1, Fig. 7).
+  /// (Flat; the whole problem over an unlimited near tier) or the whole
+  /// problem (Implicit/DdrOnly) — the choices the paper found best
+  /// (§4.1, Fig. 7).
   std::size_t megachunk_elements = 0;
   /// Flat only: double-buffer the megachunks so a dedicated copy pool
   /// loads megachunk c+1 while the workers sort megachunk c — the
@@ -166,18 +166,9 @@ class MlmSorter {
   std::size_t resolve_megachunk(std::size_t n) const {
     std::size_t mega = config_.megachunk_elements;
     if (config_.variant == MlmVariant::Flat) {
-      // Double buffering needs two megachunks resident at once, and the
-      // space rounds each buffer up to a cache line.
-      const std::uint64_t free = tiers_.near_tier->stats().free_bytes();
-      const std::size_t buffer_bytes = round_down(
-          static_cast<std::size_t>(free / (config_.overlap_copy_in ? 2 : 1)),
-          kCacheLineBytes);
-      const std::size_t cap = buffer_bytes / sizeof(T);
-      if (cap == 0) {
-        throw OutOfMemoryError(
-            "MCDRAM has " + std::to_string(free) +
-            " free bytes, too few for a megachunk buffer of one element");
-      }
+      // Double buffering needs two megachunks resident at once.
+      const std::size_t cap = tiers_.near_tier->fit_elements(
+          config_.overlap_copy_in ? 2 : 1, sizeof(T));
       if (mega == 0) mega = cap;
       MLM_REQUIRE(mega <= cap,
                   "megachunk does not fit in addressable MCDRAM");

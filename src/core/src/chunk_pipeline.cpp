@@ -11,7 +11,6 @@
 #include "mlm/parallel/first_touch.h"
 #include "mlm/parallel/parallel_memcpy.h"
 #include "mlm/parallel/thread_pool.h"
-#include "mlm/support/cache_line.h"
 #include "mlm/support/error.h"
 #include "mlm/support/step_plan.h"
 #include "mlm/support/stopwatch.h"
@@ -171,15 +170,10 @@ struct ChunkPipelineStepper::Impl {
     // Resolve the chunk size.
     chunk_bytes = config.chunk_bytes;
     if (chunk_bytes == 0) {
-      if (explicit_copies && !tiers.near_tier->unlimited()) {
-        const std::uint64_t cap = tiers.near_tier->stats().free_bytes();
-        chunk_bytes = static_cast<std::size_t>(cap / bufs);
-        chunk_bytes = round_down(chunk_bytes, kCacheLineBytes);
-      } else {
-        chunk_bytes = data.size();
-      }
+      chunk_bytes = explicit_copies ? tiers.near_tier->fit_elements(bufs, 1)
+                                    : MemorySpace::kNoLimit;
+      if (chunk_bytes == MemorySpace::kNoLimit) chunk_bytes = data.size();
     }
-    MLM_REQUIRE(chunk_bytes > 0, "chunk size must be positive");
 
     in_place = !explicit_copies || !allocate_buffers();
 

@@ -21,13 +21,11 @@ MergeBenchResult run_merge_bench(TierPair tiers,
 
   std::size_t chunk_elems = config.chunk_elements;
   if (chunk_elems == 0) {
-    if (tiers.explicit_copies()) {
-      // Three pipeline buffers plus one compute scratch buffer.
-      chunk_elems = static_cast<std::size_t>(
-          tiers.near_tier->stats().free_bytes() / 4 / sizeof(std::int64_t));
-    } else {
-      chunk_elems = config.elements;
-    }
+    // Three pipeline buffers plus one compute scratch buffer.
+    chunk_elems = tiers.explicit_copies()
+                      ? tiers.near_tier->fit_elements(4, sizeof(std::int64_t))
+                      : MemorySpace::kNoLimit;
+    if (chunk_elems == MemorySpace::kNoLimit) chunk_elems = config.elements;
   }
   MLM_REQUIRE(chunk_elems >= 2, "chunk must hold at least two elements");
 

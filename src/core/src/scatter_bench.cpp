@@ -48,20 +48,17 @@ ScatterStats run_partitioned(MemoryHierarchy& hierarchy, ThreadPool& pool,
   const std::size_t w = table.size();
   if (buckets == 0) {
     // One table slice (plus headroom for bucket cursors) per bucket
-    // should fit the nearest tier: its free bytes when addressable, else
-    // its physical size (the hardware cache; DdrOnly buckets alike).
+    // should fit the nearest tier: its free bytes when addressable (no
+    // limit, so one bucket, when unlimited), else its physical size.
     const std::size_t near = hierarchy.tier_count() - 1;
     const std::uint64_t near_free =
         hierarchy.tier_addressable(near)
-            ? hierarchy.tier(near).stats().free_bytes()
+            ? hierarchy.tier(near).fit_elements(1, 1)
             : hierarchy.tier_config(near).capacity_bytes;
     const std::uint64_t slice_budget = std::max<std::uint64_t>(
         near_free / 2, 64 * sizeof(std::uint64_t));
-    buckets = static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(w) * sizeof(std::uint64_t) +
-         slice_budget - 1) /
-        slice_budget);
-    buckets = std::max<std::size_t>(buckets, 1);
+    // At least one: run_scatter rejects an empty table.
+    buckets = (w * sizeof(std::uint64_t) + slice_budget - 1) / slice_budget;
   }
   buckets = std::min(buckets, w);  // at least one slot per slice
 

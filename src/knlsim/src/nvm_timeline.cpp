@@ -98,6 +98,7 @@ NvmSortResult simulate_nvm_sort(const KnlConfig& machine,
       const std::size_t sort_threads =
           cfg.overlap_staging ? cfg.threads - cfg.staging_threads
                               : cfg.threads;
+      double prev_busy = 0.0;  // chunk c-1's sort + write-back
       for (std::size_t c = 0; c < chunks.size(); ++c) {
         const double bytes = static_cast<double>(chunks[c]) * elem;
         const double t_in = nvm_copy_time(machine, nvm, bytes,
@@ -108,17 +109,10 @@ NvmSortResult simulate_nvm_sort(const KnlConfig& machine,
                                            cfg.staging_threads, false);
         const double busy = s.seconds + t_out;
 
-        double exposed_in = t_in;
-        if (cfg.overlap_staging && c > 0) {
-          const double prev_bytes =
-              static_cast<double>(chunks[c - 1]) * elem;
-          const double prev_busy =
-              inner_sort(machine, params, cfg, chunks[c - 1], sort_threads)
-                  .seconds +
-              nvm_copy_time(machine, nvm, prev_bytes, cfg.staging_threads,
-                            false);
-          exposed_in = std::max(t_in - prev_busy, 0.0);
-        }
+        const double exposed_in = cfg.overlap_staging && c > 0
+                                      ? std::max(t_in - prev_busy, 0.0)
+                                      : t_in;
+        prev_busy = busy;
 
         r.staging_seconds += exposed_in + t_out;
         r.sorting_seconds += s.seconds;
@@ -133,11 +127,9 @@ NvmSortResult simulate_nvm_sort(const KnlConfig& machine,
         // Block-buffered external merge: sequential block reads defeat
         // the k-stream thrash, so the only limits are the media
         // bandwidths, the DDR staging traffic, and merge compute.
-        const double k = static_cast<double>(chunks.size());
         const double merge_rate = std::min(
             {static_cast<double>(cfg.threads) * params.r_merge,
              nvm.read_bw, nvm.write_bw, machine.ddr_max_bw / 2.0});
-        (void)k;
         const double t = total_bytes / merge_rate;
         r.merging_seconds = t;
         r.seconds += t;

@@ -1,5 +1,6 @@
 #include "mlm/kvstore/migration.h"
 
+#include <algorithm>
 #include <string>
 
 #include "mlm/fault/fault.h"
@@ -21,6 +22,13 @@ MigrationEngine::Stepper::Stepper(MigrationEngine& engine,
     : engine_(engine), plan_(std::move(plan)) {
   MLM_REQUIRE(resume_next <= plan_.moves(),
               "migration resume index beyond the plan");
+  // A restored plan comes from journal bytes: check its segment ids.
+  const auto known = [&](std::size_t id) {
+    return id < engine_.store_.segment_count();
+  };
+  MLM_REQUIRE(std::ranges::all_of(plan_.demote, known) &&
+                  std::ranges::all_of(plan_.promote, known),
+              "migration plan names a segment the store lacks");
   next_ = resume_next;
 }
 

@@ -9,9 +9,9 @@
 // memkind; see mlm/memory/memkind_shim.h.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -41,8 +41,6 @@ struct SpaceStats {
   std::uint64_t high_water_bytes = 0;
   std::uint64_t allocation_count = 0;  ///< live allocations
   std::uint64_t total_allocations = 0; ///< lifetime allocations
-
-  std::uint64_t free_bytes() const { return capacity_bytes - used_bytes; }
 };
 
 /// A named, capacity-limited allocation arena.
@@ -52,6 +50,10 @@ struct SpaceStats {
 /// scratch).  Alignment is always at least 64 bytes (one KNL cache line).
 class MemorySpace {
  public:
+  /// fit_elements()'s answer for an unlimited space: no limit.
+  static constexpr std::size_t kNoLimit =
+      std::numeric_limits<std::size_t>::max();
+
   /// `capacity_bytes == 0` means unlimited (used for DDR, which in the
   /// paper's experiments is always big enough to hold the full problem).
   MemorySpace(std::string name, MemKind kind, std::uint64_t capacity_bytes);
@@ -88,8 +90,19 @@ class MemorySpace {
   /// Release a pointer previously returned by (try_)allocate.
   void deallocate(void* p) noexcept;
 
-  /// Whether `bytes` more would currently fit.
-  bool would_fit(std::size_t bytes) const;
+  /// Whether `buffers` (>= 1) more allocations of `bytes` each would
+  /// currently fit.
+  bool would_fit(std::size_t bytes, std::size_t buffers = 1) const;
+
+  /// The buffer-fit rule every automatic chunk, megachunk and block size
+  /// asks: how many elements of `elem_bytes` bytes can each of `buffers`
+  /// equal buffers hold in this space right now?  Exact under the
+  /// allocation rounding: `buffers` allocations of the answer fit, and
+  /// of one element more do not.  kNoLimit for an unlimited space.
+  /// Throws OutOfMemoryError naming the space when not even one element
+  /// fits.
+  std::size_t fit_elements(std::size_t buffers,
+                           std::size_t elem_bytes) const;
 
   /// Whether `p` is a live allocation owned by this space.
   bool owns(const void* p) const;

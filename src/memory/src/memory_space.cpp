@@ -151,10 +151,35 @@ bool MemorySpace::owns(const void* p) const {
   return impl_->live.count(const_cast<void*>(p)) != 0;
 }
 
-bool MemorySpace::would_fit(std::size_t bytes) const {
+bool MemorySpace::would_fit(std::size_t bytes, std::size_t buffers) const {
   if (capacity_ == 0) return true;
   std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->used + aligned_size(bytes) <= capacity_;
+  return aligned_size(bytes) <= (capacity_ - impl_->used) / buffers;
+}
+
+std::size_t MemorySpace::fit_elements(std::size_t buffers,
+                                      std::size_t elem_bytes) const {
+  MLM_REQUIRE(buffers >= 1 && elem_bytes >= 1,
+              "fit_elements needs at least one buffer of nonempty elements");
+  if (capacity_ == 0) return kNoLimit;
+  std::uint64_t free = 0;
+  {
+    std::lock_guard<std::mutex> lock(impl_->mu);
+    free = capacity_ - impl_->used;
+  }
+  // Each buffer gets an equal share, snapped down to the allocation
+  // granularity, so aligned_size() of the elements it holds stays
+  // inside the share: one element more rounds up past it.
+  const std::size_t n =
+      round_down(static_cast<std::size_t>(free / buffers), kAlignment) /
+      elem_bytes;
+  if (n == 0) {
+    throw OutOfMemoryError("MemorySpace '" + name_ + "' has " +
+                           std::to_string(free) + " free bytes, too few for " +
+                           std::to_string(buffers) + " buffer(s) of one " +
+                           std::to_string(elem_bytes) + "-byte element");
+  }
+  return n;
 }
 
 SpaceStats MemorySpace::stats() const {

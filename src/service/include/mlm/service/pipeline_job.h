@@ -47,7 +47,8 @@ class PipelineJob : public JobStepper {
     if (completed != 0) {
       MLM_REQUIRE(chunk_bytes != 0,
                   "a pipeline resume needs the checkpointed chunk size");
-      MLM_REQUIRE(completed * chunk_bytes <= data.size(),
+      // By division: a hostile checkpoint's product can wrap.
+      MLM_REQUIRE(completed <= data.size() / chunk_bytes,
                   "pipeline checkpoint watermark beyond the data");
       data = data.subspan(completed * chunk_bytes);
       config.chunk_bytes = chunk_bytes;

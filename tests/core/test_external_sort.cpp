@@ -10,11 +10,13 @@
 #include "mlm/support/error.h"
 #include "mlm/support/rng.h"
 #include "mlm/support/units.h"
+#include "sort/test_inputs.h"
 
 namespace mlm::core {
 namespace {
 
 using sort::InputOrder;
+using sort::TestInput;
 using sort::make_input;
 
 MemoryHierarchy small_ddr_hierarchy(std::uint64_t ddr_bytes,
@@ -53,19 +55,19 @@ TEST(TripleSpace, RequiresDdrLimit) {
 }
 
 class ExternalSortProperty : public ::testing::TestWithParam<
-                                 std::tuple<std::size_t, InputOrder>> {};
+                                 std::tuple<std::size_t, TestInput>> {};
 
 TEST_P(ExternalSortProperty, SortsNvmResidentData) {
-  const auto [n, order] = GetParam();
+  const auto [n, input] = GetParam();
   MemoryHierarchy hier = tiny_hierarchy();
   ThreadPool pool(4);
 
   // Data lives in the NVM space.
   SpaceBuffer<std::int64_t> data(hier.tier(0), std::max<std::size_t>(n, 1));
-  auto init = make_input(n, order, n * 13 + 1);
+  auto init = sort::make_test_input(n, input, n * 13 + 1);
   std::copy(init.begin(), init.end(), data.data());
   auto expect = init;
-  std::sort(expect.begin(), expect.end());
+  std::stable_sort(expect.begin(), expect.end());
 
   ExternalSortConfig cfg;
   cfg.inner.variant = MlmVariant::Flat;
@@ -92,8 +94,16 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         // 1M int64 = 8 MiB = 4x DDR = 16x MCDRAM.
         ::testing::Values(0, 1, 1000, 130000, 500000, 1000000),
-        ::testing::Values(InputOrder::Random, InputOrder::Reverse,
-                          InputOrder::FewDistinct)));
+        ::testing::Values(TestInput::Random, TestInput::Reverse,
+                          TestInput::FewDistinct)));
+
+// 8 MiB over the 2 MiB DDR: outer chunking and the block-buffered
+// external merge run on ties and pivot-hostile shapes.
+INSTANTIATE_TEST_SUITE_P(
+    Adversarial, ExternalSortProperty,
+    ::testing::Combine(::testing::Values(sort::kAdversarialElements),
+                       sort::adversarial_inputs()),
+    [](const auto& info) { return sort::name_of(std::get<1>(info.param)); });
 
 TEST(ExternalSort, ExplicitOuterChunkHonored) {
   MemoryHierarchy hier = tiny_hierarchy();

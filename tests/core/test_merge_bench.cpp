@@ -104,6 +104,37 @@ TEST(MergeBench, DefaultChunkSizeLeavesRoomForScratch) {
   EXPECT_EQ(space.mcdram().stats().used_bytes, 0u);
 }
 
+// The default chunk is carved per buffer in whole cache lines: a near
+// tier of 1 MiB + 200 B holds four 256 KiB buffers, not four of
+// 262,192 B (which round up past the capacity).
+TEST(MergeBench, DefaultChunkFitsTheCacheLineRoundUp) {
+  DualSpace space = flat_space(MiB(1) + 200);
+  std::vector<std::int64_t> data(327680);
+  MergeBenchConfig cfg = small_config();
+  cfg.elements = data.size();
+  cfg.chunk_elements = 0;  // auto
+  const MergeBenchResult r =
+      run_merge_bench(space, std::span<std::int64_t>(data), cfg);
+  EXPECT_EQ(r.pipeline.chunks, 10u);  // 32,768 elements each
+  EXPECT_EQ(space.mcdram().stats().used_bytes, 0u);
+}
+
+// An unlimited near tier takes the whole problem in one chunk.
+TEST(MergeBench, UnlimitedNearTierRunsOneChunk) {
+  HierarchyConfig hcfg;
+  hcfg.tiers = {TierConfig{"nvm", MemKind::NVM, 0},
+                TierConfig{"ddr", MemKind::DDR, 0},
+                TierConfig{"mcdram", MemKind::MCDRAM, MiB(1)}};
+  MemoryHierarchy hier(hcfg);
+  std::vector<std::int64_t> data(100000);
+  MergeBenchConfig cfg = small_config();
+  cfg.elements = data.size();
+  cfg.chunk_elements = 0;  // auto
+  const MergeBenchResult r =
+      run_merge_bench(hier.pair(0), std::span<std::int64_t>(data), cfg);
+  EXPECT_EQ(r.pipeline.chunks, 1u);
+}
+
 TEST(MergeBench, RejectsBadConfigs) {
   DualSpace space = flat_space();
   std::vector<std::int64_t> data(100);

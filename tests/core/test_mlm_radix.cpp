@@ -77,6 +77,40 @@ TEST(MlmRadix, ExplicitMegachunkHonoredAndValidated) {
                InvalidArgumentError);
 }
 
+// The default megachunk is carved per buffer in whole cache lines: a
+// near tier of 1 MiB + 72 B holds two 512 KiB buffers, not two of
+// 524,320 B (which round up past the capacity).
+TEST(MlmRadix, DefaultMegachunkFitsTheCacheLineRoundUp) {
+  DualSpace space = flat_space(MiB(1) + 72);
+  ThreadPool pool(2);
+  auto data = make_input(300000, InputOrder::Random, 15);
+  auto expect = data;
+  std::sort(expect.begin(), expect.end());
+  const MlmRadixStats stats =
+      mlm_radix_sort(space, pool, std::span<std::int64_t>(data));
+  EXPECT_EQ(data, expect);
+  EXPECT_EQ(stats.megachunks, 5u);  // 65,536 elements each
+  EXPECT_EQ(space.mcdram().stats().used_bytes, 0u);
+}
+
+// An unlimited near tier takes the whole input in one megachunk.
+TEST(MlmRadix, UnlimitedNearTierSortsInOneMegachunk) {
+  HierarchyConfig hcfg;
+  hcfg.tiers = {TierConfig{"nvm", MemKind::NVM, 0},
+                TierConfig{"ddr", MemKind::DDR, 0},
+                TierConfig{"mcdram", MemKind::MCDRAM, MiB(1)}};
+  MemoryHierarchy hier(hcfg);
+  ThreadPool pool(2);
+  auto data = make_input(100000, InputOrder::Random, 16);
+  auto expect = data;
+  std::sort(expect.begin(), expect.end());
+  const MlmRadixStats stats =
+      mlm_radix_sort(hier.pair(0), pool, std::span<std::int64_t>(data));
+  EXPECT_EQ(data, expect);
+  EXPECT_EQ(stats.megachunks, 1u);
+  EXPECT_FALSE(stats.final_merge_ran);
+}
+
 TEST(MlmRadix, RequiresAddressableMcdram) {
   DualSpaceConfig cfg;
   cfg.mode = McdramMode::Cache;

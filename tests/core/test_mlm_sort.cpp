@@ -190,12 +190,37 @@ TEST(MlmSorter, FlatBelowOneCacheLinePerBufferIsACleanOutOfMemory) {
       sorter.sort(std::span<std::int64_t>(data));
       ADD_FAILURE() << "mcdram=" << mcdram << " did not throw";
     } catch (const OutOfMemoryError& e) {
-      EXPECT_NE(std::string(e.what()).find("too few for a megachunk"),
-                std::string::npos)
-          << e.what();
+      // The buffer-fit rule's refusal, naming the tier.
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'mcdram'"), std::string::npos) << what;
+      EXPECT_NE(what.find("too few for"), std::string::npos) << what;
     }
     EXPECT_EQ(data, before) << "mcdram=" << mcdram;
     EXPECT_EQ(space.ddr().stats().used_bytes, 0u);
+  }
+}
+
+// An unlimited near tier has no capacity to carve megachunks from: Flat
+// takes the whole problem in one, whatever else lives in the tier.
+TEST(MlmSorter, FlatOverAnUnlimitedNearTierSortsInOneMegachunk) {
+  HierarchyConfig hcfg;
+  hcfg.tiers = {TierConfig{"nvm", MemKind::NVM, 0},
+                TierConfig{"ddr", MemKind::DDR, 0},
+                TierConfig{"mcdram", MemKind::MCDRAM, MiB(1)}};
+  MemoryHierarchy hier(hcfg);
+  ThreadPool pool(2);
+  MlmSortConfig cfg;
+  cfg.variant = MlmVariant::Flat;
+  for (const bool ddr_in_use : {false, true}) {
+    Allocation unrelated;
+    if (ddr_in_use) unrelated = Allocation(hier.tier(1), 64);
+    auto data = make_input(100000, InputOrder::Random, 14);
+    auto expect = data;
+    std::sort(expect.begin(), expect.end());
+    MlmSorter<std::int64_t> sorter(hier.pair(0), pool, cfg);
+    const MlmSortStats stats = sorter.sort(std::span<std::int64_t>(data));
+    EXPECT_EQ(data, expect) << "ddr_in_use=" << ddr_in_use;
+    EXPECT_EQ(stats.megachunks, 1u) << "ddr_in_use=" << ddr_in_use;
   }
 }
 

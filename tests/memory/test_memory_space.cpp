@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "mlm/support/proptest.h"
 #include "mlm/support/units.h"
 
 namespace mlm {
@@ -60,6 +62,76 @@ TEST(MemorySpace, AccountingRoundsUpToAlignment) {
   void* q = space.try_allocate(65);  // would round to 128 -> exceeds
   EXPECT_EQ(q, nullptr) << "65 bytes rounds to 128, only 64 left";
   space.deallocate(p);
+}
+
+// Whether `buffers` allocations of `bytes` each all succeed at once;
+// every allocation is released again.
+bool all_allocate(MemorySpace& space, std::size_t buffers,
+                  std::size_t bytes) {
+  std::vector<void*> got;
+  bool ok = true;
+  for (std::size_t b = 0; b < buffers && ok; ++b) {
+    void* p = space.try_allocate(bytes);
+    ok = p != nullptr;
+    if (ok) got.push_back(p);
+  }
+  for (void* p : got) space.deallocate(p);
+  return ok;
+}
+
+// The buffer-fit rule is exact under the allocation rounding: for random
+// capacities and prior allocations, k buffers of the answer fit and k
+// buffers of one element more do not; when not even one element fits it
+// says so with an OutOfMemoryError naming the space.
+TEST(MemorySpace, FitElementsIsExactUnderAllocationRounding) {
+  constexpr std::size_t kElemBytes[] = {1, 8, 16, 64, 72};
+  std::size_t answered = 0;
+  std::size_t refused = 0;
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    Gen gen(seed);
+    MemorySpace space("near", MemKind::MCDRAM, gen.size_in(1, KiB(64)));
+    std::vector<void*> prior;
+    for (std::size_t a = gen.size_in(0, 4); a > 0; --a) {
+      if (void* p = space.try_allocate(gen.size_in(0, KiB(16)))) {
+        prior.push_back(p);
+      }
+    }
+    const std::size_t k = gen.size_in(1, 8);
+    const std::size_t e = kElemBytes[gen.below(std::size(kElemBytes))];
+    const std::string at = "seed " + std::to_string(seed) + ", k " +
+                           std::to_string(k) + ", e " + std::to_string(e);
+    try {
+      const std::size_t n = space.fit_elements(k, e);
+      ++answered;
+      ASSERT_GE(n, 1u) << at;
+      EXPECT_TRUE(all_allocate(space, k, n * e)) << at << ", n " << n;
+      EXPECT_FALSE(all_allocate(space, k, (n + 1) * e)) << at << ", n " << n;
+    } catch (const OutOfMemoryError& err) {
+      ++refused;
+      EXPECT_FALSE(all_allocate(space, k, e)) << at;
+      EXPECT_NE(std::string(err.what()).find("'near'"), std::string::npos)
+          << err.what();
+    }
+    for (void* p : prior) space.deallocate(p);
+  }
+  EXPECT_GT(answered, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
+TEST(MemorySpace, FitElementsOfAnUnlimitedSpaceIsNoLimit) {
+  MemorySpace space("ddr", MemKind::DDR, 0);
+  EXPECT_EQ(space.fit_elements(1, 8), MemorySpace::kNoLimit);
+  // Usage does not turn the answer into a wrapped subtraction.
+  void* p = space.allocate(64);
+  EXPECT_EQ(space.fit_elements(4, 72), MemorySpace::kNoLimit);
+  space.deallocate(p);
+}
+
+TEST(MemorySpace, WouldFitCountsEveryBuffer) {
+  MemorySpace space("s", MemKind::MCDRAM, 256);
+  EXPECT_TRUE(space.would_fit(65, 2));   // two 128-byte allocations
+  EXPECT_FALSE(space.would_fit(65, 3));  // a third does not fit
+  EXPECT_TRUE(space.would_fit(64, 4));
 }
 
 TEST(MemorySpace, ZeroByteAllocationGetsDistinctPointer) {

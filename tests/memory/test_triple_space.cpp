@@ -36,8 +36,8 @@ TEST(TripleSpace, CapacityAccountingPerTier) {
   EXPECT_EQ(ddr.stats().used_bytes, MiB(1));
   EXPECT_EQ(mcdram.stats().used_bytes, KiB(256));
   // Usage in one tier does not consume another tier's capacity.
-  EXPECT_EQ(ddr.stats().free_bytes(), MiB(1));
-  EXPECT_EQ(mcdram.stats().free_bytes(), KiB(256));
+  EXPECT_EQ(ddr.fit_elements(1, 1), MiB(1));
+  EXPECT_EQ(mcdram.fit_elements(1, 1), KiB(256));
   nvm.deallocate(n);
   ddr.deallocate(d);
   mcdram.deallocate(m);

@@ -3,12 +3,14 @@
 // garbage) and the real restore seams — an ExternalMlmSorter stepper
 // and a chunk-pipeline job killed at EVERY step boundary must, when
 // rebuilt from their checkpoint over the surviving far-tier data,
-// finish byte-identical to the uninterrupted run.  A seeded mutation
-// sweep checks that a corrupt sort checkpoint fails as a structured
-// error.
+// finish byte-identical to the uninterrupted run.  Seeded mutation
+// sweeps check that a corrupt sort, pipeline or migration checkpoint
+// either restores a job that runs to completion or fails as a
+// structured error.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -17,6 +19,8 @@
 
 #include "mlm/core/chunk_pipeline.h"
 #include "mlm/core/external_sort.h"
+#include "mlm/kvstore/migration_job.h"
+#include "mlm/kvstore/store.h"
 #include "mlm/memory/memory_hierarchy.h"
 #include "mlm/parallel/thread_pool.h"
 #include "mlm/service/checkpoint.h"
@@ -210,6 +214,16 @@ TEST(SortStepperRestore, KilledAtEveryStepBoundaryFinishesIdentically) {
   }
 }
 
+// Flip one to three random bits of `wire`'s payload.
+Checkpoint mutate(const Checkpoint& wire, Gen& gen) {
+  Checkpoint mutant = wire;
+  for (std::size_t f = gen.size_in(1, 3); f > 0; --f) {
+    mutant.payload[gen.below(mutant.payload.size())] ^=
+        static_cast<std::uint8_t>(1u << gen.below(8));
+  }
+  return mutant;
+}
+
 // Seeded mutation of an encoded sort checkpoint: every mutant either
 // decodes into a checkpoint a Stepper restores from, or is rejected
 // with a structured mlm::Error — never any other exception.
@@ -229,11 +243,7 @@ TEST(CheckpointFuzz, SortCheckpointMutantsRestoreOrFailStructured) {
   std::size_t restored = 0;
   std::size_t rejected = 0;
   for (std::size_t i = 0; i < kMutants; ++i) {
-    Checkpoint mutant = wire;
-    for (std::size_t f = gen.size_in(1, 3); f > 0; --f) {
-      mutant.payload[gen.below(mutant.payload.size())] ^=
-          static_cast<std::uint8_t>(1u << gen.below(8));
-    }
+    const Checkpoint mutant = mutate(wire, gen);
     try {
       const core::ExternalSortCheckpoint back =
           decode_sort_checkpoint(mutant);
@@ -250,6 +260,136 @@ TEST(CheckpointFuzz, SortCheckpointMutantsRestoreOrFailStructured) {
   }
   EXPECT_GT(restored, 0u);
   EXPECT_GT(rejected, 0u);
+}
+
+// Seeded mutation of an encoded pipeline checkpoint over an in-place
+// pair: every mutant either restores a job that runs to completion over
+// exactly the unretired suffix the checkpoint names, or is rejected
+// with a structured mlm::Error.  A watermark whose chunks reach past
+// the data (completed * chunk_bytes overflowing included) is rejected.
+TEST(CheckpointFuzz, PipelineCheckpointMutantsRestoreOrFailStructured) {
+  constexpr std::size_t kBytes = KiB(64);
+  constexpr std::size_t kMutants = 2000;
+  HierarchyConfig hcfg;
+  hcfg.tiers = {TierConfig{"ddr", MemKind::DDR, 0},
+                TierConfig{"mcdram", MemKind::MCDRAM, KiB(256)}};
+  hcfg.mode = McdramMode::ImplicitCache;
+  MemoryHierarchy hier(hcfg);
+  const TierPair pair = hier.pair(0);  // no addressable near tier
+  ASSERT_FALSE(pair.explicit_copies());
+  ThreadPool pool(2, "fuzz");
+
+  std::vector<std::byte> data(kBytes);
+  std::atomic<std::uint64_t> seen{0};
+  const core::ComputeFn count = [&](std::span<std::byte> chunk, Executor&,
+                                    std::size_t) {
+    seen.fetch_add(chunk.size(), std::memory_order_relaxed);
+  };
+  core::PipelineConfig pcfg;
+  pcfg.chunk_bytes = KiB(8);
+  const RecoverableFactory factory = make_recoverable_pipeline_job(
+      pair, std::span<std::byte>(data), pcfg, count);
+
+  CheckpointWriter w;
+  w.u64(KiB(8));  // chunk_bytes
+  w.u64(4);       // completed chunks: half the data
+  const Checkpoint wire{kPipelineCheckpointKind, w.take()};
+
+  JobConfig jc;
+  JobContext ctx{hier, pool, false};
+  Gen gen(22);
+  std::size_t restored = 0;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < kMutants; ++i) {
+    const Checkpoint mutant = mutate(wire, gen);
+    CheckpointReader r(mutant.payload);
+    const std::uint64_t chunk_bytes = r.u64();
+    const std::uint64_t completed = r.u64();
+    seen.store(0);
+    try {
+      std::unique_ptr<JobStepper> job = factory(jc, ctx, &mutant);
+      while (job->step()) {
+      }
+      job->finish();
+      ++restored;
+      const unsigned __int128 retired =
+          static_cast<unsigned __int128>(completed) * chunk_bytes;
+      if (retired > kBytes) {
+        ADD_FAILURE() << "mutant " << i << " restored a watermark of "
+                      << completed << " x " << chunk_bytes
+                      << " bytes over " << kBytes << " bytes of data";
+        continue;
+      }
+      EXPECT_EQ(seen.load(), kBytes - static_cast<std::uint64_t>(retired))
+          << "mutant " << i;
+    } catch (const Error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " escaped as " << e.what();
+    }
+  }
+  EXPECT_GT(restored, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+// Seeded mutation of an encoded migration checkpoint: every mutant
+// either restores a job whose moves all run to completion, or is
+// rejected with a structured mlm::Error — a plan naming a segment the
+// store does not have included.  Moves never change the contents.
+TEST(CheckpointFuzz, MigrationCheckpointMutantsRestoreOrFailStructured) {
+  constexpr std::size_t kSegments = 16;
+  constexpr std::size_t kMutants = 2000;
+  HierarchyConfig hcfg;
+  hcfg.tiers = {TierConfig{"ddr", MemKind::DDR, 0},
+                TierConfig{"mcdram", MemKind::MCDRAM, KiB(4)}};
+  MemoryHierarchy hier(hcfg);
+  kv::KvConfig kcfg;
+  kcfg.value_bytes = 56;
+  kcfg.records_per_segment = 16;
+  kcfg.index_prefers_near = false;
+  kv::TieredKvStore store(hier, kcfg);
+  std::vector<std::uint8_t> value(56, 0x5A);
+  for (std::uint64_t k = 0; k < kSegments * 16; ++k) {
+    store.put(k, value.data());
+  }
+  ASSERT_EQ(store.segment_count(), kSegments);
+  const std::uint64_t digest = store.contents_digest();
+  kv::MigrationEngine engine(store);
+  kv::MigrationPlan plan;
+  plan.demote = {0, 1};
+  plan.promote = {9, 10};
+  const RecoverableFactory factory =
+      kv::make_recoverable_migration_job(engine, plan);
+
+  CheckpointWriter w;
+  w.u64_vec(plan.demote);
+  w.u64_vec(plan.promote);
+  w.u64(1);  // next move
+  const Checkpoint wire{kv::kMigrationCheckpointKind, w.take()};
+
+  JobConfig jc;
+  ThreadPool pool(1, "fuzz");
+  JobContext ctx{hier, pool, false};
+  Gen gen(23);
+  std::size_t restored = 0;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < kMutants; ++i) {
+    const Checkpoint mutant = mutate(wire, gen);
+    try {
+      std::unique_ptr<JobStepper> job = factory(jc, ctx, &mutant);
+      while (job->step()) {
+      }
+      job->finish();
+      ++restored;
+    } catch (const Error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " escaped as " << e.what();
+    }
+  }
+  EXPECT_GT(restored, 0u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_EQ(store.contents_digest(), digest);
 }
 
 TEST(PipelineJobRestore, WatermarkResumeNeverReappliesACompute) {
