@@ -1,4 +1,4 @@
-// Online adaptive buffering controller (ROADMAP item 4).
+// Online adaptive buffering controller.
 //
 // The paper's Eqs. 1-5 (mlm/core/buffer_model.h) pick the copy/compute
 // thread split and chunk size before the run starts; this module closes

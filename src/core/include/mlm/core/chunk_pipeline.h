@@ -102,17 +102,6 @@ struct PipelineStats {
   void merge(const PipelineStats& other);
 };
 
-/// Optional Perfetto/chrome://tracing export of per-stage spans.
-struct PipelineTraceConfig {
-  TraceWriter* writer = nullptr;   ///< null = tracing off
-  /// Copy-in events land on `track_base`, compute on +1, copy-out on +2.
-  std::uint32_t track_base = 0;
-  std::string label;               ///< event-name prefix (e.g. "L0 ")
-  /// Shared clock so nested pipelines align on one timeline; null = the
-  /// run's own epoch.
-  const Stopwatch* epoch = nullptr;
-};
-
 /// Pipeline configuration.
 struct PipelineConfig {
   /// Chunk size in bytes; must allow `buffering` live buffers in the
@@ -142,7 +131,14 @@ struct PipelineConfig {
   /// dragging them through the cache; bytes and schedules are identical
   /// in every mode.
   CopyMode copy_out_mode = CopyMode::Auto;
-  PipelineTraceConfig trace;
+  /// Optional export of per-stage spans: copy-in on `trace_track` of
+  /// `trace` (null = off), compute on +1, copy-out on +2, timed against
+  /// `trace_epoch` (null = a clock local to the run).
+  TraceWriter* trace = nullptr;
+  std::uint32_t trace_track = 0;
+  const Stopwatch* trace_epoch = nullptr;
+  /// Event-name prefix; the tiered driver sets "L<level> ".
+  std::string trace_label;
   /// When set, the run uses single-threaded DeterministicExecutors on
   /// this scheduler instead of real thread pools: task interleaving is
   /// a pure function of the scheduler's seed and fully replayable (see
@@ -254,7 +250,7 @@ struct TieredPipelineConfig {
   /// thread suffices there (see make_tiered_pool_sizes).
   std::vector<PipelineConfig> levels;
   /// When set, every level traces onto this writer: level L uses tracks
-  /// [3L, 3L+2] with label "L<L> " (overrides per-level trace config).
+  /// [3L, 3L+2], label "L<L> " and one epoch (overrides level fields).
   TraceWriter* trace = nullptr;
   /// When set, every level runs deterministically on this one scheduler
   /// (overrides per-level scheduler config), so outer-level copies and

@@ -513,7 +513,7 @@ class ExternalMlmSorter {
       const IndexRange& c = chunks_[i];
       const auto chunk_idx = static_cast<std::int64_t>(i);
       const std::span<T> staged(ddr_buf_->data(), c.size());
-      const double t_sort = s_.trace_now();
+      const double t_sort = s_.trace_.now();
       try {
         if (!stats_.inner_tier_fallback) {
           ladder_.guard<kExternalSortInner>("inner_sort", chunk_idx,
@@ -539,10 +539,10 @@ class ExternalMlmSorter {
         stats_.nvm_read_bytes += staged.size_bytes();
         stats_.last_inner = inner_->sort(staged);
       }
-      chunk_sort_s_ = s_.trace_now() - t_sort;
+      chunk_sort_s_ = s_.trace_.span(t_sort, 1, "external-sort", [&] {
+        return "outer sort " + std::to_string(i);
+      });
       stats_.sorting_seconds += chunk_sort_s_;
-      s_.trace_emit(s_.config_.trace_track + 1,
-                    "outer sort " + std::to_string(i), t_sort);
     }
 
     // One NVM <-> DDR copy of chunk i: StageIn, or StageOut of its
@@ -560,7 +560,7 @@ class ExternalMlmSorter {
       }
       T* const far = data_.data() + chunks_[i].begin;
       const std::uint64_t bytes = chunks_[i].size() * sizeof(T);
-      const double t0 = s_.trace_now();
+      const double t0 = s_.trace_.now();
       try {
         parallel_memcpy(s_.pool_, in ? ddr_buf_->data() : far,
                         in ? far : ddr_buf_->data(), bytes, s_.pool_.size(),
@@ -569,9 +569,11 @@ class ExternalMlmSorter {
         e.with_frame({op, chunk_idx, tier, "pool-worker", ""});
         throw;
       }
-      (in ? chunk_in_s_ : chunk_out_s_) = s_.trace_now() - t0;
-      s_.note_staging(stats_, (in ? "stage-in " : "stage-out ") +
-                                  std::to_string(i), t0);
+      double& seconds = in ? chunk_in_s_ : chunk_out_s_;
+      seconds = s_.trace_.span(t0, 0, "external-sort", [&] {
+        return (in ? "stage-in " : "stage-out ") + std::to_string(i);
+      });
+      stats_.staging_seconds += seconds;
       (in ? stats_.bytes_staged_in : stats_.bytes_staged_out) += bytes;
       (in ? stats_.nvm_read_bytes : stats_.nvm_write_bytes) += bytes;
     }
@@ -580,7 +582,7 @@ class ExternalMlmSorter {
       // External k-way merge of the NVM runs into an NVM scratch.
       ladder_.guard<fault::sites::kExternalSortMerge>("merge", -1,
                                                       s_.nvm().name());
-      t_merge_ = s_.trace_now();
+      t_merge_ = s_.trace_.now();
       try {
         nvm_out_.emplace(s_.nvm(), data_.size());
         std::vector<mlm::sort::Run<T>> runs;
@@ -613,8 +615,8 @@ class ExternalMlmSorter {
       const std::uint64_t total_bytes = data_.size() * sizeof(T);
       stats_.nvm_read_bytes += 2 * total_bytes;   // runs + re-read
       stats_.nvm_write_bytes += 2 * total_bytes;  // scratch + home
-      stats_.merging_seconds = s_.trace_now() - t_merge_;
-      s_.trace_emit(s_.config_.trace_track, "external merge", t_merge_);
+      stats_.merging_seconds = s_.trace_.span(
+          t_merge_, 0, "external-sort", [] { return "external merge"; });
       tail_ = Tail::Done;
     }
 
@@ -668,22 +670,6 @@ class ExternalMlmSorter {
   MemorySpace& ddr() { return hier_.tier(1); }
   MemorySpace& mcdram() { return hier_.tier(2); }
 
-  double trace_now() const {
-    return config_.trace_epoch != nullptr ? config_.trace_epoch->elapsed_s()
-                                          : trace_clock_.elapsed_s();
-  }
-  void trace_emit(std::uint32_t track, const std::string& name,
-                  double t0) const {
-    if (config_.trace == nullptr) return;
-    config_.trace->add_event(name, "external-sort", track, t0,
-                             trace_now() - t0);
-  }
-  void note_staging(ExternalSortStats& stats, const std::string& name,
-                    double t0) const {
-    stats.staging_seconds += trace_now() - t0;
-    trace_emit(config_.trace_track, name, t0);
-  }
-
   // The staging buffer and the inner sorter's scratch share DDR.
   std::size_t resolve_outer_chunk() const {
     const std::size_t cap = hier_.tier(1).fit_elements(2, sizeof(T));
@@ -710,7 +696,8 @@ class ExternalMlmSorter {
   Executor& pool_;
   ExternalSortConfig config_;
   Comp comp_;
-  Stopwatch trace_clock_;
+  /// Staging and merge spans on trace_track (+0), outer sorts on +1.
+  TraceSink trace_{config_.trace, config_.trace_track, config_.trace_epoch};
 };
 
 }  // namespace mlm::core

@@ -144,23 +144,21 @@ class MlmSorter {
     for (const IndexRange& mc : megachunks) {
       runs.emplace_back(scratch.data() + mc.begin, mc.size());
     }
-    const double t0 = trace_now();
-    mlm::sort::parallel_multiway_merge(
-        pool_, std::span<const mlm::sort::Run<T>>(runs), data, comp_);
-    trace_emit("final merge", t0);
+    traced([] { return "final merge"; }, [&] {
+      mlm::sort::parallel_multiway_merge(
+          pool_, std::span<const mlm::sort::Run<T>>(runs), data, comp_);
+    });
     stats.final_merge_ran = true;
     return stats;
   }
 
  private:
-  double trace_now() const {
-    return config_.trace_epoch != nullptr ? config_.trace_epoch->elapsed_s()
-                                          : trace_clock_.elapsed_s();
-  }
-  void trace_emit(const std::string& name, double t0) const {
-    if (config_.trace == nullptr) return;
-    config_.trace->add_event(name, "mlm-sort", config_.trace_track, t0,
-                             trace_now() - t0);
+  // A span of `work`; untraced, no clock is read (no stats report it).
+  template <typename NameFn, typename Work>
+  void traced(const NameFn& name, Work&& work) {
+    const double t0 = trace_.on() ? trace_.now() : 0.0;
+    work();
+    if (trace_.on()) trace_.span(t0, 0, "mlm-sort", name);
   }
 
   std::size_t resolve_megachunk(std::size_t n) const {
@@ -239,9 +237,10 @@ class MlmSorter {
         const T* src = data.data() + megachunks[*in].begin;
         stats.bytes_copied_in += dst.size_bytes();
         if (copy_pool == nullptr) {
-          const double t0 = trace_now();
-          parallel_memcpy(pool_, dst.data(), src, dst.size_bytes());
-          trace_emit("mega copy-in " + std::to_string(*in), t0);
+          traced([&] { return "mega copy-in " + std::to_string(*in); },
+                 [&] {
+                   parallel_memcpy(pool_, dst.data(), src, dst.size_bytes());
+                 });
         } else {
           pending = parallel_memcpy_async(*copy_pool, dst.data(), src,
                                           dst.size_bytes());
@@ -249,10 +248,11 @@ class MlmSorter {
         }
       }
       if (compute) {
-        const double t0 = trace_now();
-        sort_and_merge_megachunk(work_of(*compute), scratch,
-                                 megachunks[*compute].begin, stats);
-        trace_emit("mega sort+merge " + std::to_string(*compute), t0);
+        traced([&] { return "mega sort+merge " + std::to_string(*compute); },
+               [&] {
+                 sort_and_merge_megachunk(work_of(*compute), scratch,
+                                          megachunks[*compute].begin, stats);
+               });
       }
       if (copy_pool != nullptr) copy_pool->wait(pending);
     }
@@ -270,7 +270,7 @@ class MlmSorter {
   Executor& pool_;
   MlmSortConfig config_;
   Comp comp_;
-  Stopwatch trace_clock_;
+  TraceSink trace_{config_.trace, config_.trace_track, config_.trace_epoch};
 };
 
 /// The "basic algorithm" of Section 4: chunk the data, sort each chunk

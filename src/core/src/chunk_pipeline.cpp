@@ -69,31 +69,6 @@ fault::FaultSite& skip_copy_out_wait_site() {
   return site;
 }
 
-/// Stage clock + optional trace-event sink shared by all stages of one
-/// pipeline run.  Time is read from the caller's epoch when provided so
-/// nested (tiered) runs align on one timeline.
-class StageTracer {
- public:
-  explicit StageTracer(const PipelineTraceConfig& cfg) : cfg_(cfg) {}
-
-  double now() const {
-    return cfg_.epoch != nullptr ? cfg_.epoch->elapsed_s()
-                                 : local_.elapsed_s();
-  }
-
-  /// stage: 0 = copy-in, 1 = compute, 2 = copy-out.
-  void emit(std::uint32_t stage, const char* name, std::size_t chunk,
-            double t0, double t1) const {
-    if (cfg_.writer == nullptr) return;
-    cfg_.writer->add_event(cfg_.label + name + " c" + std::to_string(chunk),
-                           name, cfg_.track_base + stage, t0, t1 - t0);
-  }
-
- private:
-  const PipelineTraceConfig& cfg_;
-  Stopwatch local_;
-};
-
 }  // namespace
 
 /// All state of one resumable pipeline run.  The former run-to-completion
@@ -104,7 +79,7 @@ struct ChunkPipelineStepper::Impl {
   std::span<std::byte> data;
   PipelineConfig config;
   ComputeFn compute;
-  StageTracer tracer;
+  TraceSink trace;  ///< stage clock and span emitter
   PipelineValidator* validator;
   std::size_t bufs;
   bool explicit_copies;
@@ -148,7 +123,7 @@ struct ChunkPipelineStepper::Impl {
         data(data_in),
         config(config_in),
         compute(std::move(compute_in)),
-        tracer(config.trace),
+        trace(config.trace, config.trace_track, config.trace_epoch),
         validator(config.validator),
         bufs(buffer_count(config.buffering)),
         explicit_copies(tiers.explicit_copies()),
@@ -295,7 +270,7 @@ struct ChunkPipelineStepper::Impl {
     ladder.guard<fault::sites::kPipelineCompute>("compute", chunk_index(c),
                                                  near_name);
     auto r = chunk_range(c);
-    const double t0 = tracer.now();
+    const double t0 = trace.now();
     vacquire(PipelineStage::Compute, c);
     try {
       compute(std::span<std::byte>(
@@ -307,9 +282,7 @@ struct ChunkPipelineStepper::Impl {
       throw;
     }
     vrelease(PipelineStage::Compute, c);
-    const double t1 = tracer.now();
-    stats.compute_seconds += t1 - t0;
-    tracer.emit(1, "compute", c, t0, t1);
+    stats.compute_seconds += stage_span(PipelineStage::Compute, c, t0);
   }
   std::vector<std::future<void>> copy_out_async(std::size_t c) {
     ladder.guard<fault::sites::kPipelineCopyOut>("copy_out", chunk_index(c),
@@ -321,36 +294,31 @@ struct ChunkPipelineStepper::Impl {
                                  buffers[c % bufs].get(), dst.size(),
                                  config.copy_out_mode);
   }
-  // Stage spans run from posting the slices to their completion; under
-  // double/triple buffering that span includes whatever overlapped it.
-  void join_in(std::size_t c, std::vector<std::future<void>>& in,
-               double t0) {
-    try {
-      pools->copy_in().wait(in);
-    } catch (Error& e) {
-      annotate(e, "copy_in", c, "pool-worker");
-      throw;
-    }
-    vrelease(PipelineStage::CopyIn, c);
-    const double t1 = tracer.now();
-    stats.copy_in_seconds += t1 - t0;
-    tracer.emit(0, "copy-in", c, t0, t1);
-  }
-  void join_out(std::size_t c, std::vector<std::future<void>>& out,
-                double t0) {
+  // Join copy stage `st` of chunk c.  Stage spans run from posting the
+  // slices to their completion; under double/triple buffering that span
+  // includes whatever overlapped it.
+  void join(PipelineStage st, std::size_t c,
+            std::vector<std::future<void>>& futures, double t0) {
+    const bool in = st == PipelineStage::CopyIn;
     // The planted missed-join bug the schedule harness arms to prove
     // PipelineValidator catches buffer reuse before copy-out completes.
-    if (skip_copy_out_wait_site().should_fire()) return;
+    if (!in && skip_copy_out_wait_site().should_fire()) return;
     try {
-      pools->copy_out().wait(out);
+      (in ? pools->copy_in() : pools->copy_out()).wait(futures);
     } catch (Error& e) {
-      annotate(e, "copy_out", c, "pool-worker");
+      annotate(e, in ? "copy_in" : "copy_out", c, "pool-worker");
       throw;
     }
-    vrelease(PipelineStage::CopyOut, c);
-    const double t1 = tracer.now();
-    stats.copy_out_seconds += t1 - t0;
-    tracer.emit(2, "copy-out", c, t0, t1);
+    vrelease(st, c);
+    (in ? stats.copy_in_seconds : stats.copy_out_seconds) +=
+        stage_span(st, c, t0);
+  }
+  // Close stage st's span of chunk c: "<label><stage> c<c>" on track + st.
+  double stage_span(PipelineStage st, std::size_t c, double t0) const {
+    const char* name = to_string(st);
+    return trace.span(t0, static_cast<std::uint32_t>(st), name, [&] {
+      return config.trace_label + name + " c" + std::to_string(c);
+    });
   }
 
   // One barrier step of the plan, posting and joining in the order the
@@ -361,7 +329,7 @@ struct ChunkPipelineStepper::Impl {
   void run_step(std::size_t idx) {
     Stopwatch step;
     if (in_place) {
-      const double t0 = tracer.now();
+      const double t0 = trace.now();
       if (validator != nullptr) {
         validator->acquire(PipelineStage::Compute, idx, 0);
       }
@@ -369,27 +337,25 @@ struct ChunkPipelineStepper::Impl {
       if (validator != nullptr) {
         validator->release(PipelineStage::Compute, idx, 0);
       }
-      const double t1 = tracer.now();
-      tracer.emit(1, "compute", idx, t0, t1);
-      stats.compute_seconds += t1 - t0;
+      stats.compute_seconds += stage_span(PipelineStage::Compute, idx, t0);
     } else {
       const auto [ci, cc, co] = plan.step(idx);
       const bool in_first = plan.in_joins_before_compute();
       const bool out_last = plan.out_after_compute();
       std::vector<std::future<void>> in, out;
-      const double t_in = tracer.now();
+      const double t_in = trace.now();
       if (ci) in = copy_in_async(*ci);
-      if (ci && in_first) join_in(*ci, in, t_in);
-      double t_out = tracer.now();
+      if (ci && in_first) join(PipelineStage::CopyIn, *ci, in, t_in);
+      double t_out = trace.now();
       if (co && !out_last) out = copy_out_async(*co);
       if (cc) run_compute(*cc);
       if (co && out_last) {
-        t_out = tracer.now();
+        t_out = trace.now();
         out = copy_out_async(*co);
-        join_out(*co, out, t_out);
+        join(PipelineStage::CopyOut, *co, out, t_out);
       }
-      if (ci && !in_first) join_in(*ci, in, t_in);
-      if (co && !out_last) join_out(*co, out, t_out);
+      if (ci && !in_first) join(PipelineStage::CopyIn, *ci, in, t_in);
+      if (co && !out_last) join(PipelineStage::CopyOut, *co, out, t_out);
     }
     stats.step_seconds.push_back(step.elapsed_s());
     ++stats.steps;
@@ -549,24 +515,22 @@ TieredPipelineStats run_tiered_pipeline(MemoryHierarchy& hierarchy,
   Stopwatch epoch;
   if (config.trace != nullptr) {
     for (std::size_t l = 0; l < levels; ++l) {
-      cfgs[l].trace.writer = config.trace;
-      cfgs[l].trace.track_base = static_cast<std::uint32_t>(3 * l);
-      cfgs[l].trace.label = "L" + std::to_string(l) + " ";
-      cfgs[l].trace.epoch = &epoch;
+      PipelineConfig& cfg = cfgs[l];
+      cfg.trace = config.trace;
+      cfg.trace_track = static_cast<std::uint32_t>(3 * l);
+      cfg.trace_epoch = &epoch;
+      cfg.trace_label = "L" + std::to_string(l) + " ";
       // Name the three stage tracks after the tier pair they move
       // data between, e.g. "L0 nvm->ddr copy-in".
-      const std::string pair_name = hierarchy.tier_config(l).name + "->" +
-                                    hierarchy.tier_config(l + 1).name;
-      config.trace->set_track_name(cfgs[l].trace.track_base,
-                                   "L" + std::to_string(l) + " " +
-                                       pair_name + " copy-in");
-      config.trace->set_track_name(cfgs[l].trace.track_base + 1,
-                                   "L" + std::to_string(l) + " " +
-                                       hierarchy.tier_config(l + 1).name +
-                                       " compute");
-      config.trace->set_track_name(cfgs[l].trace.track_base + 2,
-                                   "L" + std::to_string(l) + " " +
-                                       pair_name + " copy-out");
+      const std::string& near = hierarchy.tier_config(l + 1).name;
+      const std::string pair_name =
+          hierarchy.tier_config(l).name + "->" + near;
+      const std::string names[] = {pair_name + " copy-in",
+                                   near + " compute", pair_name + " copy-out"};
+      for (std::uint32_t st = 0; st < 3; ++st) {
+        config.trace->set_track_name(cfg.trace_track + st,
+                                     cfg.trace_label + names[st]);
+      }
     }
   }
 

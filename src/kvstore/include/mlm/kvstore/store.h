@@ -2,7 +2,7 @@
 // a tier-aware allocator over a (possibly budgeted) MemoryHierarchy.
 //
 // The paper's pipeline *streams* data across the MCDRAM/DDR split; a
-// record store must *place* it (ROADMAP item 2).  Records — a 64-bit
+// record store must *place* it.  Records — a 64-bit
 // key plus a fixed-size value — are appended into fixed-capacity
 // *segments*, the unit of placement and migration.  New segments are
 // allocated near-first: while the near tier (MCDRAM) has room they live

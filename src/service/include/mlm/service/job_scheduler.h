@@ -109,7 +109,8 @@ class JobScheduler {
 
   /// Queue a job; returns its id.  A near-tier request that can never
   /// be satisfied (larger than the whole arena) fails the job
-  /// immediately unless degradation is allowed.
+  /// immediately unless degradation is allowed.  Ids are never reused:
+  /// id 2^64-1 is never issued; a submission that would need it throws.
   std::uint64_t submit(JobConfig config, JobFactory factory);
 
   /// Submit a crash-recoverable job.  config.recovery_key must be
@@ -127,7 +128,7 @@ class JobScheduler {
   /// under its original id, resuming from its last Checkpoint record
   /// (or from scratch when none was written).  Transient replay faults
   /// (service.journal.replay) are retried a few times before
-  /// propagating.
+  /// propagating.  A journal naming job id 2^64-1 is refused (Error).
   struct RecoveryReport {
     std::size_t jobs_resubmitted = 0;      ///< re-admitted, non-terminal
     std::size_t jobs_already_terminal = 0; ///< journaled jobs done before the crash

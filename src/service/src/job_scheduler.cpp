@@ -1,6 +1,7 @@
 #include "mlm/service/job_scheduler.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +14,9 @@
 namespace mlm::service {
 
 namespace {
+
+// Never issued, so the next id cannot wrap to one the journal names.
+constexpr std::uint64_t kLastJobId = std::numeric_limits<std::uint64_t>::max();
 
 fault::FaultSite& step_site() {
   static fault::FaultSite site(fault::sites::kServiceJobStep);
@@ -122,6 +126,7 @@ std::uint64_t JobScheduler::submit_locked(JobConfig config,
   MLM_REQUIRE(!halted_,
               "submit on a halted scheduler (journal write failed; "
               "recover from the journal instead)");
+  MLM_CHECK_MSG(next_id_ != kLastJobId, "job id space exhausted");
   const std::uint64_t id = next_id_++;
   auto owned = std::make_unique<Job>();
   Job& job = *owned;
@@ -594,9 +599,11 @@ JobScheduler::RecoveryReport JobScheduler::recover(
     }
   }
 
-  std::uint64_t max_id = 0;
+  if (!by_id.empty() && by_id.rbegin()->first == kLastJobId) {
+    Error e("journal names job id 2^64-1, which is never issued");
+    throw e.with_frame({"recover", -1, "", "service", ""});
+  }
   for (auto& [id, r] : by_id) {
-    max_id = std::max(max_id, id);
     if (!r.submitted) continue;
     if (r.terminal) {
       ++report.jobs_already_terminal;
@@ -633,7 +640,7 @@ JobScheduler::RecoveryReport JobScheduler::recover(
     queue_.push(id, job.config.priority);
     ++report.jobs_resubmitted;
   }
-  if (!by_id.empty()) next_id_ = std::max(next_id_, max_id + 1);
+  if (!by_id.empty()) next_id_ = std::max(next_id_, by_id.rbegin()->first + 1);
   return report;
 }
 

@@ -10,7 +10,8 @@
 // exact-splitting parallel multiway merge.
 //
 // samplesort is an alternative (splitter-based) parallel sort.  Nothing
-// outside its tests calls it; ROADMAP item 2(a) lists it for deletion.
+// outside its tests calls it; ROADMAP lists it among "the dead sort
+// kernels".
 #pragma once
 
 #include <algorithm>

@@ -21,7 +21,8 @@
 // under std::less both kernels give byte-identical output.
 //
 // insertion_sort and heapsort are standalone kernels with no caller
-// outside their tests; ROADMAP item 2(a) lists them for deletion.
+// outside their tests; ROADMAP lists them among "the dead sort
+// kernels".
 #pragma once
 
 #include <algorithm>

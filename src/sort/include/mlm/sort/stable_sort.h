@@ -8,7 +8,8 @@
 // exact-splitting multiway merge, which preserves run order — so stable
 // local runs over consecutive slices compose into a globally stable
 // sort.  Nothing outside its tests calls this header (`sort_records`
-// uses std::stable_sort); ROADMAP item 2(a) lists it for deletion.
+// uses std::stable_sort); ROADMAP lists it among "the dead sort
+// kernels".
 #pragma once
 
 #include <algorithm>

@@ -177,6 +177,34 @@ TEST(ExternalSort, AutoMergeBlockBelowOneLineIsOutOfMemory) {
   EXPECT_THROW(sort_random(hier, 2, 20000), OutOfMemoryError);
 }
 
+// The tuning hook and the stats report the same stage times: each stage
+// is timed by one clock read, so the hook's per-step times, summed in
+// hook order, are exactly the stats' phase totals.
+TEST(ExternalSort, TuningHookStageTimesSumToTheStats) {
+  MemoryHierarchy hier = tiny_hierarchy();
+  ThreadPool pool(2);
+  std::vector<std::int64_t> data = make_input(4000, InputOrder::Random, 21);
+  double staging = 0.0;
+  double sorting = 0.0;
+  std::size_t calls = 0;
+  ExternalSortConfig cfg;
+  cfg.outer_chunk_elements = 1000;
+  cfg.tuning_hook = [&](const StepFeedback& fb) {
+    staging += fb.copy_in_seconds;
+    staging += fb.copy_out_seconds;
+    sorting += fb.compute_seconds;
+    ++calls;
+    return StepTuning{};
+  };
+  ExternalMlmSorter<std::int64_t> sorter(hier, pool, cfg);
+  const ExternalSortStats stats = sorter.sort(std::span<std::int64_t>(data));
+  ASSERT_EQ(stats.outer_chunks, 4u);
+  EXPECT_EQ(calls, 4u);
+  EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
+  EXPECT_EQ(staging, stats.staging_seconds);
+  EXPECT_EQ(sorting, stats.sorting_seconds);
+}
+
 TEST(ExternalMerge, MergesFarRunsThroughTinyBlocks) {
   MemoryHierarchy hier = tiny_hierarchy();
   ThreadPool pool(3);

@@ -25,6 +25,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <initializer_list>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -508,6 +510,71 @@ TEST(CrashRecovery, ChaosProbabilisticTornWritesSweep) {
   if (p >= 0.05 && seeds >= 8) {
     EXPECT_GT(torn_runs, 0u) << "chaos sweep tore no journal writes";
   }
+}
+
+// ------------------- job ids are never reused ------------------------
+
+constexpr std::uint64_t kLastId = std::numeric_limits<std::uint64_t>::max();
+
+/// A journal whose jobs `ids` were each submitted (as tenant 0) and
+/// completed, written record by record.
+void journal_completed_jobs(World& w,
+                            std::initializer_list<std::uint64_t> ids) {
+  // A real Submitted payload, taken from a throwaway world's journal.
+  World donor;
+  {
+    Incarnation inc(donor, 1, 2);
+    (void)submit_tenant(*inc.svc, 0, donor);
+  }
+  const std::vector<std::uint8_t> payload =
+      donor.journal->replay().records.at(0).payload;
+  for (const std::uint64_t id : ids) {
+    w.journal->append(JournalRecordType::Submitted, id, payload);
+    w.journal->append(JournalRecordType::Completed, id);
+  }
+}
+
+// Regression: a journal naming id 2^64 - 1 made the next id wrap to 0,
+// which the journal already shows as terminal, so a job submitted after
+// recovery was silently skipped by the next recovery.
+TEST(CrashRecovery, JournalNamingTheLastJobIdIsRefused) {
+  World w;
+  journal_completed_jobs(w, {0, kLastId});
+  Incarnation inc(w, 1, 2);
+  const FactoryResolver r = w.resolver();
+  try {
+    (void)inc.svc->recover(r);
+    FAIL() << "a journal naming the last job id must be refused";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("never issued"), std::string::npos)
+        << e.what();
+  }
+}
+
+// The last id the service issues is 2^64 - 2: a job given it after one
+// recovery is resubmitted by the next, and one more submission is
+// refused instead of wrapping to an id the journal already names.
+TEST(CrashRecovery, JobAtTheTopOfTheIdSpaceIsResubmittedAfterACrash) {
+  World w;
+  journal_completed_jobs(w, {0, kLastId - 2});
+  const FactoryResolver r = w.resolver();
+  std::uint64_t id = 0;
+  {
+    Incarnation inc(w, 1, 2);
+    const JobScheduler::RecoveryReport report = inc.svc->recover(r);
+    EXPECT_EQ(report.jobs_already_terminal, 2u);
+    EXPECT_EQ(report.jobs_resubmitted, 0u);
+    id = submit_tenant(*inc.svc, 0, w);
+    EXPECT_EQ(id, kLastId - 1);
+    EXPECT_THROW((void)submit_tenant(*inc.svc, 1, w), Error);
+  }  // CRASH before the job runs
+  Incarnation inc(w, 2, 2);
+  const JobScheduler::RecoveryReport report = inc.svc->recover(r);
+  EXPECT_EQ(report.jobs_resubmitted, 1u);
+  EXPECT_EQ(inc.svc->state(id), JobState::Queued);
+  inc.svc->run_all();
+  EXPECT_EQ(inc.svc->state(id), JobState::Completed);
+  EXPECT_EQ(fnv1a(w.span(0)), expected_digests()[0]);
 }
 
 // ------------------- migration jobs recover too ----------------------

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "mlm/support/error.h"
+#include "mlm/support/json.h"
 
 namespace mlm {
 namespace {
@@ -68,6 +69,52 @@ TEST(TraceWriter, WritesFile) {
 TEST(TraceWriter, UnwritablePathThrows) {
   TraceWriter w;
   EXPECT_THROW(w.write_file("/nonexistent-dir/trace.json"), Error);
+}
+
+TEST(TraceSink, UntracedSpanTimesWithoutNamingAnEvent) {
+  const TraceSink sink(nullptr, 0, nullptr);
+  EXPECT_FALSE(sink.on());
+  const double t0 = sink.now();
+  bool named = false;
+  const double seconds = sink.span(t0, 1, "c", [&] {
+    named = true;
+    return std::string("never");
+  });
+  EXPECT_GE(seconds, 0.0);
+  EXPECT_FALSE(named);
+}
+
+TEST(TraceSink, SpanLandsOnTrackPlusOffsetAndReturnsItsDuration) {
+  TraceWriter w;
+  const TraceSink sink(&w, 3, nullptr);
+  EXPECT_TRUE(sink.on());
+  const double t0 = sink.now();
+  const double seconds = sink.span(t0, 2, "stage", [] { return "copy-in c0"; });
+  const double later = sink.span(t0, 0, "stage", [] { return "compute c0"; });
+  EXPECT_GE(seconds, 0.0);
+  EXPECT_GE(later, seconds);
+  ASSERT_EQ(w.size(), 2u);
+  const JsonValue doc = json_parse(w.to_json());
+  const JsonValue& first = doc.get("traceEvents").at(0);
+  EXPECT_EQ(first.get("name").as_string(), "copy-in c0");
+  EXPECT_EQ(first.get("cat").as_string(), "stage");
+  EXPECT_EQ(first.get("tid").as_number(), 5.0);
+  EXPECT_NEAR(first.get("ts").as_number(), t0 * 1e6, 1e-3 * t0 * 1e6);
+  EXPECT_NEAR(first.get("dur").as_number(), seconds * 1e6,
+              1e-3 + 1e-5 * seconds * 1e6);
+  EXPECT_EQ(doc.get("traceEvents").at(1).get("tid").as_number(), 3.0);
+}
+
+TEST(TraceSink, SinksOnOneEpochShareItsClock) {
+  const Stopwatch epoch;
+  const TraceSink a(nullptr, 0, &epoch);
+  const TraceSink b(nullptr, 3, &epoch);
+  const double before = epoch.elapsed_s();
+  const double ta = a.now();
+  const double tb = b.now();
+  EXPECT_LE(before, ta);
+  EXPECT_LE(ta, tb);
+  EXPECT_LE(tb, epoch.elapsed_s());
 }
 
 }  // namespace
