@@ -12,6 +12,11 @@
 //   copy/{cached,streaming}     std::memcpy vs non-temporal stores
 //   dispatch/{submit_each,bulk} one promise+lock round trip per task
 //                               vs one submit_slices batch
+//   radix/{scalar,dispatch}/... the per-thread int64 radix sort on its
+//                               scalar kernel vs the kernel radix_sort
+//                               picks for this CPU (the write-combining
+//                               MSD scatter and the network finish on
+//                               AVX-512F), one sort or four at once
 //
 // Every case records a deterministic digest of its output next to the
 // wall-clock samples: the before/after variants of one kernel must
@@ -34,11 +39,14 @@
 #include "mlm/parallel/parallel_memcpy.h"
 #include "mlm/parallel/stream_copy.h"
 #include "mlm/parallel/thread_pool.h"
+#include "mlm/sort/input_gen.h"
 #include "mlm/sort/loser_tree.h"
 #include "mlm/sort/merge_kernels.h"
 #include "mlm/sort/multiway_merge.h"
+#include "mlm/sort/radix_sort.h"
 #include "mlm/support/proptest.h"
 #include "mlm/support/rng.h"
+#include "mlm/support/stopwatch.h"
 #include "mlm/support/table.h"
 #include "suites.h"
 
@@ -121,6 +129,11 @@ class LoserTree {
 std::uint64_t g_merge_elements = 1 << 21;  // 16 MiB of int64
 std::uint64_t g_copy_mib = 64;
 std::uint64_t g_dispatch_tasks = 4096;
+/// Keys per radix sort: one flat_sort thread's chunk.
+constexpr std::uint64_t kRadixElements = 1 << 21;
+
+const char* const kRadixInputs[] = {"uniform", "few"};
+const std::size_t kRadixSorts[] = {1, 4};
 
 const std::size_t kKs[] = {8, 64};
 const char* const kInputs[] = {"random", "dups"};
@@ -278,6 +291,63 @@ void add_dispatch_case(Suite& suite, const char* variant) {
   });
 }
 
+/// `sorts` radix sorts of `elements` int64 each, run at once on as
+/// many threads, each with its own scratch; "uniform" keys are random
+/// 64-bit, "few" draws from 16 distinct keys.  Only the sorts are
+/// timed: every repetition first restores the unsorted inputs.
+void add_radix_case(Suite& suite, const char* variant, std::size_t sorts,
+                    const std::string& input) {
+  suite.add_case(
+      std::string("radix/") + variant + "/x" + std::to_string(sorts) + "/" +
+          input,
+      [=](BenchContext& ctx) {
+        const auto n = static_cast<std::size_t>(
+            ctx.scaled(kRadixElements, 1 << 16));
+        ctx.param("elements", static_cast<std::uint64_t>(n));
+        ctx.param("sorts", static_cast<std::uint64_t>(sorts));
+        ctx.param("input", input);
+        const sort::InputOrder order = input == "few"
+                                           ? sort::InputOrder::FewDistinct
+                                           : sort::InputOrder::Random;
+        std::vector<std::vector<std::int64_t>> base(sorts);
+        std::vector<std::vector<std::int64_t>> keys(sorts);
+        std::vector<std::vector<std::int64_t>> scratch(sorts);
+        for (std::size_t t = 0; t < sorts; ++t) {
+          base[t] = sort::make_input(n, order, ctx.seed() + t);
+          scratch[t].resize(n);
+        }
+        const bool scalar = std::string(variant) == "scalar";
+        const auto sort_one = [&](std::size_t t) {
+          const std::span<std::int64_t> data(keys[t]);
+          const std::span<std::int64_t> tmp(scratch[t]);
+          if (scalar) {
+            sort::radix_detail::radix_sort_kernel<false>(data, tmp);
+          } else {
+            sort::radix_sort(data, tmp);
+          }
+        };
+        ThreadPool pool(sorts, "bench-radix");
+        std::vector<double> samples;
+        for (std::size_t rep = 0; rep < ctx.warmup() + ctx.repetitions();
+             ++rep) {
+          keys = base;
+          Stopwatch sw;
+          if (sorts == 1) {
+            sort_one(0);
+          } else {
+            std::vector<std::future<void>> futs;
+            futs.push_back(pool.submit_slices(sorts, sort_one));
+            pool.wait(futs);
+          }
+          if (rep >= ctx.warmup()) samples.push_back(sw.elapsed_s());
+        }
+        ctx.wall_metric("seconds", std::move(samples));
+        std::uint64_t digest = 0;
+        for (const auto& k : keys) digest ^= digest_of<std::int64_t>(k);
+        ctx.metric("digest", static_cast<double>(digest >> 32));
+      });
+}
+
 // Min over repetitions: the robust statistic for single-machine
 // microbenchmarks — every source of interference (preemption, frequency
 // ramps, page faults) only ever adds time, so the minimum is the
@@ -311,6 +381,13 @@ void view(const RunReport& report, std::ostream& out) {
   row("two_run", "two_run/std", "two_run/unrolled");
   row("copy", "copy/cached", "copy/streaming");
   row("dispatch", "dispatch/submit_each", "dispatch/bulk");
+  for (const std::size_t sorts : kRadixSorts) {
+    for (const char* input : kRadixInputs) {
+      const std::string tail =
+          "/x" + std::to_string(sorts) + "/" + input;
+      row("radix" + tail, "radix/scalar" + tail, "radix/dispatch" + tail);
+    }
+  }
   table.print(out);
   out << "\nBefore/after variants of one kernel emit identical "
          "digests (same bytes, different speed); digests are "
@@ -343,6 +420,12 @@ void register_kernel_micro(Harness& h) {
   add_copy_case(suite, "streaming");
   add_dispatch_case(suite, "submit_each");
   add_dispatch_case(suite, "bulk");
+  for (const std::size_t sorts : kRadixSorts) {
+    for (const char* input : kRadixInputs) {
+      add_radix_case(suite, "scalar", sorts, input);
+      add_radix_case(suite, "dispatch", sorts, input);
+    }
+  }
   suite.set_view(view);
 }
 

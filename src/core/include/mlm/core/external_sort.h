@@ -513,7 +513,7 @@ class ExternalMlmSorter {
       const IndexRange& c = chunks_[i];
       const auto chunk_idx = static_cast<std::int64_t>(i);
       const std::span<T> staged(ddr_buf_->data(), c.size());
-      const double t_sort = s_.trace_.now();
+      double t_sort = s_.trace_.now();
       try {
         if (!stats_.inner_tier_fallback) {
           ladder_.guard<kExternalSortInner>("inner_sort", chunk_idx,
@@ -524,7 +524,9 @@ class ExternalMlmSorter {
         // Rung 3, the HBW_POLICY_PREFERRED analogue: recreate the inner
         // sorter DDR-only and redo this chunk without MCDRAM.  The failed
         // sort may have left the staged copy partially permuted, so
-        // re-stage from NVM (still the untouched original) first.
+        // re-stage from NVM (still the untouched original) first.  That
+        // copy is staging, a second "stage-in" of the chunk, and the
+        // sort's clock restarts after it.
         if (stats_.inner_tier_fallback ||
             !ladder_.fall_back(kExternalSortInner, chunk_idx)) {
           e.with_frame({"inner_sort", chunk_idx, s_.mcdram().name(),
@@ -533,10 +535,18 @@ class ExternalMlmSorter {
         }
         stats_.inner_tier_fallback = true;
         make_inner();
+        const double t_copy = s_.trace_.now();
         parallel_memcpy(s_.pool_, staged.data(), data_.data() + c.begin,
                         staged.size_bytes());
+        const double copy_s =
+            s_.trace_.span(t_copy, 0, "external-sort", [&] {
+              return "stage-in " + std::to_string(i);
+            });
+        chunk_in_s_ += copy_s;
+        stats_.staging_seconds += copy_s;
         stats_.bytes_staged_in += staged.size_bytes();
         stats_.nvm_read_bytes += staged.size_bytes();
+        t_sort = s_.trace_.now();
         stats_.last_inner = inner_->sort(staged);
       }
       chunk_sort_s_ = s_.trace_.span(t_sort, 1, "external-sort", [&] {

@@ -29,10 +29,7 @@
 #include <type_traits>
 #include <vector>
 
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
-
+#include "mlm/sort/avx512_bitonic.h"
 #include "mlm/support/error.h"
 
 namespace mlm::sort {
@@ -73,33 +70,6 @@ inline constexpr bool kInt64Less =
      std::is_same_v<Comp, std::less<std::int64_t>>);
 
 #if defined(__x86_64__)
-/// Whether the CPU (and OS) support AVX-512F; probed once.
-inline bool cpu_has_avx512f() {
-  static const bool has = __builtin_cpu_supports("avx512f");
-  return has;
-}
-
-/// One bitonic compare-exchange level: lane i pairs with lane
-/// partner[i]; lanes in `upper` keep the larger of the pair, the others
-/// the smaller.  (The masked forms avoid GCC 12's intrinsics with an
-/// undefined source, which trip -Wmaybe-uninitialized.)
-__attribute__((target("avx512f"))) inline __m512i bitonic_level(
-    __m512i v, __m512i partner, __mmask8 upper) {
-  const __m512i p = _mm512_permutex2var_epi64(v, partner, v);
-  const __m512i lo =
-      _mm512_mask_min_epi64(v, static_cast<__mmask8>(~upper), v, p);
-  return _mm512_mask_max_epi64(lo, upper, v, p);
-}
-
-/// Sorts a bitonic 8-lane vector ascending: three compare-exchange
-/// levels at lane distances 4, 2 and 1.
-__attribute__((target("avx512f"))) inline __m512i bitonic_sort8(
-    __m512i v) {
-  v = bitonic_level(v, _mm512_set_epi64(3, 2, 1, 0, 7, 6, 5, 4), 0xF0);
-  v = bitonic_level(v, _mm512_set_epi64(5, 4, 7, 6, 1, 0, 3, 2), 0xCC);
-  return bitonic_level(v, _mm512_set_epi64(6, 7, 4, 5, 2, 3, 0, 1), 0xAA);
-}
-
 /// AVX-512F bounded int64 merge; runs while each input and the output
 /// have at least 8 slots and leaves the tails to the scalar kernel.
 /// Each step compares a[0..8) against b[0..8) reversed: a[i] <= b[7-i]

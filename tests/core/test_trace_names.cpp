@@ -16,6 +16,7 @@
 #include "mlm/core/chunk_pipeline.h"
 #include "mlm/core/external_sort.h"
 #include "mlm/core/mlm_sort.h"
+#include "mlm/fault/fault.h"
 #include "mlm/memory/dual_space.h"
 #include "mlm/sort/input_gen.h"
 #include "mlm/support/json.h"
@@ -142,6 +143,74 @@ TEST(TraceNames, ExternalSorterOuterChunks) {
   }
   expected.emplace_back("external merge", "external-sort", 0);
   expect_events(trace, expected);
+}
+
+/// Sum of the durations (seconds) of the complete events on `track`
+/// whose name starts with `prefix`.
+double seconds_of(const TraceWriter& trace, const std::string& prefix,
+                  std::uint32_t track) {
+  double us = 0.0;
+  const JsonValue doc = json_parse(trace.to_json());
+  for (const JsonValue& e : doc.get("traceEvents").items()) {
+    if (e.get("ph").as_string() == "X" &&
+        e.get("name").as_string().rfind(prefix, 0) == 0 &&
+        static_cast<std::uint32_t>(e.get("tid").as_number()) == track) {
+      us += e.get("dur").as_number();
+    }
+  }
+  return us * 1e-6;
+}
+
+// The DDR-only fallback (rung 3) re-stages the failed chunk from NVM.
+// That copy is a second "stage-in" span, booked to staging_seconds; the
+// chunk's "outer sort" span starts after it.  So the stats' staging and
+// sorting totals are the sums of the stage-* and outer-sort spans.
+TEST(TraceNames, ExternalSorterFallbackRestageIsStaging) {
+  fault::FaultPlan plan;
+  plan.arm(fault::sites::kExternalSortInner, fault::FaultTrigger::nth_call(0));
+  fault::ScopedFaultInjector inject(plan);
+  HierarchyConfig hier_cfg;
+  hier_cfg.tiers = {TierConfig{"nvm", MemKind::NVM, 0},
+                    TierConfig{"ddr", MemKind::DDR, MiB(2)},
+                    TierConfig{"mcdram", MemKind::MCDRAM, KiB(512)}};
+  hier_cfg.mode = McdramMode::Flat;
+  MemoryHierarchy hier(hier_cfg);
+  ThreadPool pool(2);
+  TraceWriter trace;
+  ExternalSortConfig cfg;
+  cfg.outer_chunk_elements = 100'000;
+  cfg.inner.variant = MlmVariant::Flat;
+  cfg.inner.megachunk_elements = 50'000;
+  cfg.degrade.allow_tier_fallback = true;
+  cfg.trace = &trace;
+  constexpr std::size_t kElements = 200'000;
+  SpaceBuffer<std::int64_t> data(hier.tier(0), kElements);
+  const auto init = sort::make_input(kElements, sort::InputOrder::Random, 9);
+  std::copy(init.begin(), init.end(), data.data());
+  ExternalMlmSorter<std::int64_t> sorter(hier, pool, cfg);
+  const ExternalSortStats stats =
+      sorter.sort(std::span<std::int64_t>(data.data(), kElements));
+  EXPECT_TRUE(stats.inner_tier_fallback);
+  EXPECT_EQ(stats.outer_chunks, 2u);
+  EXPECT_TRUE(std::is_sorted(data.data(), data.data() + kElements));
+
+  expect_events(trace, {
+      {"stage-in 0", "external-sort", 0},
+      {"stage-in 0", "external-sort", 0},
+      {"outer sort 0", "external-sort", 1},
+      {"stage-out 0", "external-sort", 0},
+      {"stage-in 1", "external-sort", 0},
+      {"outer sort 1", "external-sort", 1},
+      {"stage-out 1", "external-sort", 0},
+      {"external merge", "external-sort", 0},
+  });
+  // Three stage-ins of 100,000 int64: the re-stage's bytes too.
+  EXPECT_EQ(stats.bytes_staged_in, 3 * 100'000 * sizeof(std::int64_t));
+  // The trace keeps microseconds to 6 significant digits.
+  EXPECT_NEAR(stats.staging_seconds, seconds_of(trace, "stage-", 0),
+              1e-6 + 1e-5 * stats.staging_seconds);
+  EXPECT_NEAR(stats.sorting_seconds, seconds_of(trace, "outer sort", 1),
+              1e-6 + 1e-5 * stats.sorting_seconds);
 }
 
 // Two levels, two chunks each: level L's stages on tracks 3L..3L+2,
