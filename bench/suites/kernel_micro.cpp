@@ -17,6 +17,9 @@
 //                               picks for this CPU (the write-combining
 //                               MSD scatter and the network finish on
 //                               AVX-512F), one sort or four at once
+//   record/{std_sort,radix}/... the per-thread Record64 sort: std::sort
+//                               vs the stable (key, index) radix sort,
+//                               one sort or four at once
 //
 // Every case records a deterministic digest of its output next to the
 // wall-clock samples: the before/after variants of one kernel must
@@ -44,9 +47,10 @@
 #include "mlm/sort/merge_kernels.h"
 #include "mlm/sort/multiway_merge.h"
 #include "mlm/sort/radix_sort.h"
+#include "mlm/sort/record.h"
+#include "mlm/sort/serial_sort.h"
 #include "mlm/support/proptest.h"
 #include "mlm/support/rng.h"
-#include "mlm/support/stopwatch.h"
 #include "mlm/support/table.h"
 #include "suites.h"
 
@@ -131,6 +135,8 @@ std::uint64_t g_copy_mib = 64;
 std::uint64_t g_dispatch_tasks = 4096;
 /// Keys per radix sort: one flat_sort thread's chunk.
 constexpr std::uint64_t kRadixElements = 1 << 21;
+/// Records per record sort: one service_sort thread's chunk.
+constexpr std::size_t kRecordElements = 1 << 14;
 
 const char* const kRadixInputs[] = {"uniform", "few"};
 const std::size_t kRadixSorts[] = {1, 4};
@@ -291,10 +297,39 @@ void add_dispatch_case(Suite& suite, const char* variant) {
   });
 }
 
-/// `sorts` radix sorts of `elements` int64 each, run at once on as
-/// many threads, each with its own scratch; "uniform" keys are random
-/// 64-bit, "few" draws from 16 distinct keys.  Only the sorts are
-/// timed: every repetition first restores the unsorted inputs.
+/// Times `base.size()` sorts run at once on as many threads, sort t on
+/// its own copy of base[t] with its own scratch: every repetition first
+/// restores the copies untimed.  Records the samples as "seconds" and
+/// the XOR of the outputs' digests as "digest".
+template <typename T, typename SortOne>
+void measure_sorts(BenchContext& ctx,
+                   const std::vector<std::vector<T>>& base,
+                   const SortOne& sort_one) {
+  const std::size_t sorts = base.size();
+  std::vector<std::vector<T>> data(sorts);
+  std::vector<std::vector<T>> scratch(sorts);
+  for (std::size_t t = 0; t < sorts; ++t) scratch[t].resize(base[t].size());
+  const auto sort_t = [&](std::size_t t) {
+    sort_one(std::span<T>(data[t]), std::span<T>(scratch[t]));
+  };
+  ThreadPool pool(sorts, "bench-sort");
+  ctx.measure("seconds", [&] { data = base; }, [&] {
+    if (sorts == 1) {
+      sort_t(0);
+    } else {
+      std::vector<std::future<void>> futs;
+      futs.push_back(pool.submit_slices(sorts, sort_t));
+      pool.wait(futs);
+    }
+  });
+  std::uint64_t digest = 0;
+  for (const auto& d : data) digest ^= digest_of<T>(d);
+  ctx.metric("digest", static_cast<double>(digest >> 32));
+}
+
+/// `sorts` radix sorts of `elements` int64 each, run at once (see
+/// measure_sorts); "uniform" keys are random 64-bit, "few" draws from
+/// 16 distinct keys.
 void add_radix_case(Suite& suite, const char* variant, std::size_t sorts,
                     const std::string& input) {
   suite.add_case(
@@ -310,41 +345,55 @@ void add_radix_case(Suite& suite, const char* variant, std::size_t sorts,
                                            ? sort::InputOrder::FewDistinct
                                            : sort::InputOrder::Random;
         std::vector<std::vector<std::int64_t>> base(sorts);
-        std::vector<std::vector<std::int64_t>> keys(sorts);
-        std::vector<std::vector<std::int64_t>> scratch(sorts);
         for (std::size_t t = 0; t < sorts; ++t) {
           base[t] = sort::make_input(n, order, ctx.seed() + t);
-          scratch[t].resize(n);
         }
         const bool scalar = std::string(variant) == "scalar";
-        const auto sort_one = [&](std::size_t t) {
-          const std::span<std::int64_t> data(keys[t]);
-          const std::span<std::int64_t> tmp(scratch[t]);
-          if (scalar) {
-            sort::radix_detail::radix_sort_kernel<false>(data, tmp);
-          } else {
-            sort::radix_sort(data, tmp);
-          }
-        };
-        ThreadPool pool(sorts, "bench-radix");
-        std::vector<double> samples;
-        for (std::size_t rep = 0; rep < ctx.warmup() + ctx.repetitions();
-             ++rep) {
-          keys = base;
-          Stopwatch sw;
-          if (sorts == 1) {
-            sort_one(0);
-          } else {
-            std::vector<std::future<void>> futs;
-            futs.push_back(pool.submit_slices(sorts, sort_one));
-            pool.wait(futs);
-          }
-          if (rep >= ctx.warmup()) samples.push_back(sw.elapsed_s());
+        measure_sorts(ctx, base,
+                      [scalar](std::span<std::int64_t> data,
+                               std::span<std::int64_t> tmp) {
+                        if (scalar) {
+                          sort::radix_detail::radix_sort_kernel<false>(data,
+                                                                       tmp);
+                        } else {
+                          sort::radix_sort(data, tmp);
+                        }
+                      });
+      });
+}
+
+/// `sorts` sorts of kRecordElements Record64 each, run at once (see
+/// measure_sorts): std::sort, the per-thread record sort before the
+/// radix path, against serial_sort's stable radix_sort_records.  The
+/// inputs are generate_records' ("few": 16 distinct keys).
+void add_record_case(Suite& suite, const char* variant, std::size_t sorts,
+                     const std::string& input) {
+  suite.add_case(
+      std::string("record/") + variant + "/x" + std::to_string(sorts) +
+          "/" + input,
+      [=](BenchContext& ctx) {
+        ctx.param("elements", static_cast<std::uint64_t>(kRecordElements));
+        ctx.param("sorts", static_cast<std::uint64_t>(sorts));
+        ctx.param("input", input);
+        const sort::InputOrder order = input == "few"
+                                           ? sort::InputOrder::FewDistinct
+                                           : sort::InputOrder::Random;
+        std::vector<std::vector<sort::Record64>> base(sorts);
+        for (std::size_t t = 0; t < sorts; ++t) {
+          base[t].resize(kRecordElements);
+          sort::generate_records(std::span<sort::Record64>(base[t]), order,
+                                 ctx.seed() + t);
         }
-        ctx.wall_metric("seconds", std::move(samples));
-        std::uint64_t digest = 0;
-        for (const auto& k : keys) digest ^= digest_of<std::int64_t>(k);
-        ctx.metric("digest", static_cast<double>(digest >> 32));
+        const bool radix = std::string(variant) == "radix";
+        measure_sorts(ctx, base,
+                      [radix](std::span<sort::Record64> data,
+                              std::span<sort::Record64> tmp) {
+                        if (radix) {
+                          sort::serial_sort(data, tmp);
+                        } else {
+                          std::sort(data.begin(), data.end());
+                        }
+                      });
       });
 }
 
@@ -388,10 +437,19 @@ void view(const RunReport& report, std::ostream& out) {
       row("radix" + tail, "radix/scalar" + tail, "radix/dispatch" + tail);
     }
   }
+  for (const std::size_t sorts : kRadixSorts) {
+    for (const char* input : kRadixInputs) {
+      const std::string tail =
+          "/x" + std::to_string(sorts) + "/" + input;
+      row("record" + tail, "record/std_sort" + tail, "record/radix" + tail);
+    }
+  }
   table.print(out);
   out << "\nBefore/after variants of one kernel emit identical "
-         "digests (same bytes, different speed); digests are "
-         "seed-stable, so bench_compare pins them.\n";
+         "digests (same bytes, different speed), except record/*/few: "
+         "std::sort leaves equal keys in another order than the stable "
+         "radix sort.  Digests are seed-stable, so bench_compare pins "
+         "them.\n";
 }
 
 }  // namespace
@@ -424,6 +482,12 @@ void register_kernel_micro(Harness& h) {
     for (const char* input : kRadixInputs) {
       add_radix_case(suite, "scalar", sorts, input);
       add_radix_case(suite, "dispatch", sorts, input);
+    }
+  }
+  for (const std::size_t sorts : kRadixSorts) {
+    for (const char* input : kRadixInputs) {
+      add_record_case(suite, "std_sort", sorts, input);
+      add_record_case(suite, "radix", sorts, input);
     }
   }
   suite.set_view(view);

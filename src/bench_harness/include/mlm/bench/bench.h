@@ -145,10 +145,20 @@ class BenchContext {
   /// `repetitions()` timed runs recorded as a wall-clock metric.
   template <typename Fn>
   void measure(const std::string& name, Fn&& fn) {
-    for (std::size_t i = 0; i < warmup(); ++i) fn();
+    measure(name, [] {}, fn);
+  }
+  /// measure() with `reset` run untimed before every run, warmups
+  /// included: restoring a sort's input stays out of the samples.
+  template <typename Reset, typename Fn>
+  void measure(const std::string& name, Reset&& reset, Fn&& fn) {
+    for (std::size_t i = 0; i < warmup(); ++i) {
+      reset();
+      fn();
+    }
     std::vector<double> samples;
     samples.reserve(repetitions());
     for (std::size_t i = 0; i < repetitions(); ++i) {
+      reset();
       Stopwatch sw;
       fn();
       samples.push_back(sw.elapsed_s());

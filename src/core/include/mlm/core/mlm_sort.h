@@ -10,10 +10,12 @@
 //      each chunk with the best available *serial* sort (MLM-sort
 //      deliberately avoids relying on multithreaded sort scaling to
 //      hundreds of cores): serial_sort's span form, which is the
-//      cache-conscious radix_sort for int64 keys under std::less and
-//      std::sort for anything else.  The radix sort's scratch is the
+//      cache-conscious radix_sort for int64 keys under std::less, the
+//      stable radix_sort_records for Record<N> under std::less, and
+//      std::sort for anything else.  The radix sorts' scratch is the
 //      thread's slice of the DDR scratch region step 3 overwrites next,
-//      so it allocates nothing,
+//      so they allocate nothing; for Record<N> the (key, index) pairs
+//      take 32 B per record of it,
 //   3. run a parallel multiway merge of the per-thread runs, writing the
 //      sorted megachunk back to far memory (doubling as the copy-out).
 //
@@ -80,7 +82,8 @@ struct MlmSortConfig {
   std::size_t copy_threads = 2;
   /// Optional trace export: megachunk copy-in and sort+merge spans land
   /// on `trace_track` of `trace` (null = tracing off), timed against
-  /// `trace_epoch` (null = a clock local to the sorter).
+  /// `trace_epoch` (null = a clock local to the sorter); the copy pool's
+  /// overlapped copy-ins land on `trace_track` + 1.
   TraceWriter* trace = nullptr;
   std::uint32_t trace_track = 0;
   const Stopwatch* trace_epoch = nullptr;
@@ -232,6 +235,7 @@ class MlmSorter {
     for (std::size_t s = 0; s < plan.steps(); ++s) {
       const auto [in, compute, out] = plan.step(s);
       std::vector<std::future<void>> pending;
+      double pending_t0 = 0.0;
       if (in && flat) {
         const std::span<T> dst = work_of(*in);
         const T* src = data.data() + megachunks[*in].begin;
@@ -242,6 +246,7 @@ class MlmSorter {
                    parallel_memcpy(pool_, dst.data(), src, dst.size_bytes());
                  });
         } else {
+          if (trace_.on()) pending_t0 = trace_.now();
           pending = parallel_memcpy_async(*copy_pool, dst.data(), src,
                                           dst.size_bytes());
           if (compute) ++stats.overlapped_copies;
@@ -254,7 +259,16 @@ class MlmSorter {
                                           megachunks[*compute].begin, stats);
                });
       }
-      if (copy_pool != nullptr) copy_pool->wait(pending);
+      if (copy_pool != nullptr && in) {
+        // The copy pool's copy-in, from issue until it is waited for,
+        // on its own track: it overlaps the sort+merge above.
+        copy_pool->wait(pending);
+        if (trace_.on()) {
+          trace_.span(pending_t0, 1, "mlm-sort", [&] {
+            return "mega copy-in " + std::to_string(*in);
+          });
+        }
+      }
     }
   }
 

@@ -1,4 +1,4 @@
-// Radix sorts for int64 keys.
+// Radix sorts for int64 keys and for Record<N>.
 //
 // radix_sort is the per-thread sort MLM-sort runs on int64 keys (see
 // serial_sort.h).  Its scratch is the caller's, an array at least as
@@ -35,6 +35,16 @@
 // straight to the highest byte in which two keys differ; so is every
 // LSD pass whose digit all keys share.
 //
+// radix_sort_records is the per-thread sort for Record<N>: a stable LSD
+// radix sort on the 8-byte key, so equal keys keep their input order.
+// A record of 32 B or more does not travel through the passes: the sort
+// builds 16-byte (key, index) pairs in the first 32 B per record of the
+// scratch (pairs plus their own scratch), radix-sorts those, and then
+// follows the permutation's cycles to move each record once, in place.
+// A smaller record (Record16) cannot hold the pairs in its scratch, and
+// is already a key plus 8 bytes, so it is radix-sorted directly.  The
+// bitonic network is not stable on keys alone, so neither path uses it.
+//
 // parallel_radix_sort keeps the classic parallel LSD scheme; the MLM
 // variant in mlm/core/mlm_radix.h runs it inside MCDRAM-resident chunks
 // (the Bender/Snir test of §2.3 trivially says "rewrite it for MLM").
@@ -49,12 +59,14 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <new>
 #include <span>
 #include <vector>
 
 #include "mlm/parallel/parallel_for.h"
 #include "mlm/parallel/thread_pool.h"
 #include "mlm/sort/avx512_bitonic.h"
+#include "mlm/sort/record.h"
 #include "mlm/support/error.h"
 
 namespace mlm::sort {
@@ -399,6 +411,96 @@ void radix_sort(std::span<std::int64_t> data,
   }
 #endif
   radix_detail::radix_sort_kernel<false>(data, scratch);
+}
+
+namespace radix_detail {
+/// A record's key and its position in the input: the 16 bytes
+/// radix_sort_records sorts in place of a record of 32 B or more.
+struct KeyIndex {
+  std::uint64_t key;
+  std::uint64_t index;
+};
+
+/// Stable LSD radix sort of items[0, n) on their unsigned `key` member,
+/// with `other` as an equal-sized scratch range: one read takes every
+/// digit's histogram, and a pass whose digit all keys share is skipped.
+/// Returns whichever of the two ranges holds the result.
+template <typename Item>
+Item* lsd_stable(Item* items, Item* other, std::size_t n) {
+  std::array<Counts, kRadixPasses> count{};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t key = items[i].key;
+    for (unsigned pass = 0; pass < kRadixPasses; ++pass) {
+      ++count[pass][digit(key, pass)];
+    }
+  }
+  Item* src = items;
+  Item* dst = other;
+  for (unsigned pass = 0; pass < kRadixPasses; ++pass) {
+    Counts& start = count[pass];
+    if (start[digit(src[0].key, pass)] == n) continue;
+    exclusive_prefix_sum(start);
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[start[digit(src[i].key, pass)]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  return src;
+}
+
+/// Moves data[order[j].index] to data[j] for every j by following the
+/// permutation's cycles: each record moves once, plus one temporary per
+/// cycle.  Marks every visited pair as placed, clobbering `order`.
+template <typename Rec>
+void apply_permutation(Rec* data, KeyIndex* order, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (order[i].index == i) continue;
+    const Rec first = data[i];
+    std::size_t j = i;
+    for (;;) {
+      const std::size_t from = order[j].index;
+      order[j].index = j;
+      if (from == i) break;
+      data[j] = data[from];
+      j = from;
+    }
+    data[j] = first;
+  }
+}
+}  // namespace radix_detail
+
+/// Stable radix sort of records by key (see the file comment) with a
+/// caller-provided scratch of at least data.size() records.  Result ends
+/// in `data`; equal keys keep their input order.  Allocates nothing.
+template <std::size_t N>
+void radix_sort_records(std::span<Record<N>> data,
+                        std::span<Record<N>> scratch) {
+  using Rec = Record<N>;
+  using radix_detail::KeyIndex;
+  MLM_REQUIRE(scratch.size() >= data.size(),
+              "scratch must be at least input size");
+  const std::size_t n = data.size();
+  if (n <= 1) return;
+  if constexpr (sizeof(Rec) < 2 * sizeof(KeyIndex)) {
+    const Rec* sorted =
+        radix_detail::lsd_stable(data.data(), scratch.data(), n);
+    if (sorted != data.data()) {
+      std::memcpy(data.data(), sorted, n * sizeof(Rec));
+    }
+  } else {
+    // The pairs and their scratch are new objects in the scratch
+    // records' storage, which the records' alignment suits.
+    static_assert(alignof(Rec) >= alignof(KeyIndex));
+    void* const raw = scratch.data();
+    auto* const slots = static_cast<KeyIndex*>(raw);
+    for (std::size_t i = 0; i < n; ++i) {
+      ::new (static_cast<void*>(slots + i)) KeyIndex{data[i].key, i};
+      ::new (static_cast<void*>(slots + n + i)) KeyIndex;
+    }
+    KeyIndex* const pairs = std::launder(slots);
+    radix_detail::apply_permutation(
+        data.data(), radix_detail::lsd_stable(pairs, pairs + n, n), n);
+  }
 }
 
 /// Parallel LSD radix sort: each pass computes per-thread histograms,

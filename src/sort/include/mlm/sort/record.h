@@ -14,9 +14,12 @@
 // merge measured no faster.
 //
 // Records order by key alone; run order breaks ties in every merge
-// (LoserTree and multiway_merge are stable), and record sorts use
-// stable local runs, so the two layouts produce byte-identical output
-// even with duplicate keys.
+// (LoserTree and multiway_merge are stable), and every record sort's
+// local runs are stable (radix_sort_records, or std::stable_sort for
+// sort_records' AoS layout), so the two layouts produce byte-identical
+// output even with duplicate keys.  For the same reason MlmSorter and
+// ExternalMlmSorter over Record<N> are stable: their output equals
+// std::stable_sort of the input.
 #pragma once
 
 #include <array>
@@ -49,6 +52,12 @@ struct Record {
 /// payload-heavy one cache line wide.
 using Record16 = Record<8>;
 using Record64 = Record<56>;
+
+/// Whether T is some Record<N>: serial_sort's record dispatch.
+template <typename T>
+inline constexpr bool is_record_v = false;
+template <std::size_t N>
+inline constexpr bool is_record_v<Record<N>> = true;
 
 static_assert(sizeof(Record16) == 16);
 static_assert(sizeof(Record64) == 64);

@@ -9,16 +9,22 @@
 //   - serial_sort(first, last, comp) is std::sort (libstdc++'s
 //     introsort); funnelsort's base case and gnu_like_parallel_sort use
 //     it.
-//   - serial_sort(data, scratch, comp) is MlmSorter's per-thread sort.
-//     For int64 keys under std::less it is radix_sort, a cache-conscious
-//     radix sort that needs a scratch array as large as the data; for
-//     any other element type or comparator it is std::sort and the
-//     scratch goes unused.  MlmSorter's scratch is the thread's slice of
-//     the DDR region its megachunk merge overwrites next.
+//   - serial_sort(data, scratch, comp) is MlmSorter's per-thread sort,
+//     with a scratch array as large as the data:
+//       * int64 under std::less: radix_sort, a cache-conscious radix
+//         sort;
+//       * Record<N> under std::less: radix_sort_records, a stable radix
+//         sort of (key, index) pairs held in the scratch (32 B per
+//         record) that then moves each record once; records under 32 B
+//         are radix-sorted directly.  Equal keys keep their input order;
+//       * anything else: std::sort, and the scratch goes unused.
+//     MlmSorter's scratch is the thread's slice of the DDR region its
+//     megachunk merge overwrites next.
 //
 // The element and comparator types are the only dispatch: no option,
 // environment variable or runtime switch selects the kernel.  For int64
-// under std::less both kernels give byte-identical output.
+// under std::less both kernels give byte-identical output; for Record<N>
+// the output is std::stable_sort's.
 //
 // insertion_sort and heapsort are standalone kernels with no caller
 // outside their tests; ROADMAP lists them among "the dead sort
@@ -87,7 +93,8 @@ void serial_sort(It first, It last, Comp comp = {}) {
 }
 
 /// The serial sort MLM-sort uses for per-thread chunks: radix_sort for
-/// int64 under std::less, std::sort otherwise (see the file comment).
+/// int64 and radix_sort_records for Record<N> under std::less, std::sort
+/// otherwise (see the file comment).
 /// `scratch` must hold at least data.size() elements; it is clobbered.
 template <typename T, typename Comp = std::less<>>
 void serial_sort(std::span<T> data, std::span<T> scratch, Comp comp = {}) {
@@ -97,6 +104,10 @@ void serial_sort(std::span<T> data, std::span<T> scratch, Comp comp = {}) {
                 (std::is_same_v<Comp, std::less<>> ||
                  std::is_same_v<Comp, std::less<std::int64_t>>)) {
     radix_sort(data, scratch);
+  } else if constexpr (is_record_v<T> &&
+                       (std::is_same_v<Comp, std::less<>> ||
+                        std::is_same_v<Comp, std::less<T>>)) {
+    radix_sort_records(data, scratch);
   } else {
     std::sort(data.begin(), data.end(), comp);
   }

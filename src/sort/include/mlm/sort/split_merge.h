@@ -34,6 +34,7 @@
 #include "mlm/parallel/stream_copy.h"
 #include "mlm/sort/loser_tree.h"
 #include "mlm/sort/multiway_merge.h"
+#include "mlm/sort/radix_sort.h"
 #include "mlm/sort/record.h"
 #include "mlm/support/error.h"
 
@@ -124,45 +125,15 @@ void parallel_multiway_merge_split(Executor& pool,
   });
 }
 
-namespace split_detail {
-
-/// Stable local run sort for the SoA layout: sort (key, original index)
-/// pairs — a total order, so the unstable std::sort is effectively
-/// stable — then gather records through the index column.  The records
-/// themselves move once, after all comparisons are done on 16-byte
-/// pairs.
-template <std::size_t N>
-void stable_sort_range_split(std::span<Record<N>> range,
-                             std::span<Record<N>> scratch) {
-  struct KeyIdx {
-    std::uint64_t key;
-    std::uint64_t idx;
-  };
-  std::vector<KeyIdx> pairs(range.size());
-  for (std::size_t i = 0; i < range.size(); ++i) {
-    pairs[i] = {range[i].key, i};
-  }
-  std::sort(pairs.begin(), pairs.end(),
-            [](const KeyIdx& a, const KeyIdx& b) {
-              return a.key != b.key ? a.key < b.key : a.idx < b.idx;
-            });
-  for (std::size_t i = 0; i < range.size(); ++i) {
-    scratch[i] = range[pairs[i].idx];
-  }
-  std::copy(scratch.begin(), scratch.begin() + range.size(),
-            range.begin());
-}
-
-}  // namespace split_detail
-
 /// Parallel record sort in either layout.  Stable (equal keys keep
 /// input order), so for a given input the two layouts produce
 /// byte-identical results; `scratch` must be at least data.size().
 ///
 /// Aos: stable-sorted local runs + the AoS exact-splitting parallel
 /// merge — the gnu_like_parallel_sort structure with stability.
-/// SoaSplit: local runs sorted via (key, index) pairs, then the
-/// key/payload-split parallel merge.
+/// SoaSplit: local runs sorted by radix_sort_records (a stable radix
+/// sort of (key, index) pairs that then moves each record once), then
+/// the key/payload-split parallel merge.
 template <std::size_t N>
 void sort_records(Executor& pool, std::span<Record<N>> data,
                   std::span<Record<N>> scratch, RecordLayout layout,
@@ -180,8 +151,8 @@ void sort_records(Executor& pool, std::span<Record<N>> data,
   parallel_for(pool, 0, ranges.size(), [&](std::size_t i) {
     auto range = data.subspan(ranges[i].begin, ranges[i].size());
     if (layout == RecordLayout::SoaSplit) {
-      split_detail::stable_sort_range_split<N>(
-          range, scratch.subspan(ranges[i].begin, ranges[i].size()));
+      radix_sort_records(range,
+                         scratch.subspan(ranges[i].begin, ranges[i].size()));
     } else {
       std::stable_sort(range.begin(), range.end());
     }

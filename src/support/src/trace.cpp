@@ -1,5 +1,6 @@
 #include "mlm/support/trace.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -28,6 +29,14 @@ std::string escape_json(const std::string& s) {
     }
   }
   return out;
+}
+
+/// The shortest decimal that parses back to exactly `v`: a time stamp
+/// far into a run keeps its sub-microsecond digits.
+void write_number(std::ostream& os, double v) {
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  os.write(buf, r.ptr - buf);
 }
 }  // namespace
 
@@ -76,8 +85,11 @@ std::string TraceWriter::to_json() const {
     first = false;
     os << "{\"name\":\"" << escape_json(e.name) << "\",\"cat\":\""
        << escape_json(e.category) << "\",\"ph\":\"X\",\"pid\":1,\"tid\":"
-       << e.track << ",\"ts\":" << e.start_us
-       << ",\"dur\":" << e.duration_us << "}";
+       << e.track << ",\"ts\":";
+    write_number(os, e.start_us);
+    os << ",\"dur\":";
+    write_number(os, e.duration_us);
+    os << "}";
   }
   os << "]}";
   return os.str();

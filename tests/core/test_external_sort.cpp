@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "mlm/sort/input_gen.h"
 #include "mlm/support/error.h"
@@ -104,6 +106,47 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(sort::kAdversarialElements),
                        sort::adversarial_inputs()),
     [](const auto& info) { return sort::name_of(std::get<1>(info.param)); });
+
+// Records with duplicate keys through outer chunks, inner megachunks
+// and the external merge: the output is std::stable_sort's, byte for
+// byte (payloads tell equal keys apart).
+class ExternalSortRecordStability
+    : public ::testing::TestWithParam<TestInput> {
+ protected:
+  template <std::size_t N>
+  void expect_stable(std::size_t n) {
+    MemoryHierarchy hier = tiny_hierarchy();
+    ThreadPool pool(4);
+    SpaceBuffer<sort::Record<N>> data(hier.tier(0), n);
+    const auto init = sort::make_test_records<N>(n, GetParam(), 17);
+    std::copy(init.begin(), init.end(), data.data());
+    auto expect = init;
+    std::stable_sort(expect.begin(), expect.end());
+
+    ExternalSortConfig cfg;
+    cfg.inner.variant = MlmVariant::Flat;
+    ExternalMlmSorter<sort::Record<N>> sorter(hier, pool, cfg);
+    const ExternalSortStats stats =
+        sorter.sort(std::span<sort::Record<N>>(data.data(), n));
+    EXPECT_TRUE(stats.external_merge_ran);
+    EXPECT_GE(stats.last_inner.megachunks, 2u);
+    EXPECT_TRUE(std::equal(expect.begin(), expect.end(), data.data()));
+  }
+};
+
+// 4 MiB of records over the 2 MiB DDR and 512 KiB MCDRAM.
+TEST_P(ExternalSortRecordStability, Record64MatchesStableSort) {
+  expect_stable<56>(std::size_t{1} << 16);
+}
+
+TEST_P(ExternalSortRecordStability, Record16MatchesStableSort) {
+  expect_stable<8>(std::size_t{1} << 18);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Duplicates, ExternalSortRecordStability,
+    ::testing::Values(TestInput::FewDistinct, TestInput::AllEqual),
+    [](const auto& info) { return sort::name_of(info.param); });
 
 TEST(ExternalSort, ExplicitOuterChunkHonored) {
   MemoryHierarchy hier = tiny_hierarchy();

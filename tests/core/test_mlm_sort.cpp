@@ -96,6 +96,52 @@ INSTANTIATE_TEST_SUITE_P(
              mlm::sort::name_of(std::get<2>(info.param));
     });
 
+// Records with duplicate keys through four megachunks on every variant:
+// the per-thread sort is stable and every merge breaks ties by run
+// order, so the output is std::stable_sort's, byte for byte (payloads
+// tell equal keys apart).
+using RecordCase = std::tuple<MlmVariant, TestInput>;
+
+class MlmSortRecordStability : public ::testing::TestWithParam<RecordCase> {
+ protected:
+  template <std::size_t N>
+  void expect_stable(std::size_t n) {
+    const auto [variant, keys] = GetParam();
+    DualSpace space = make_space(variant);
+    ThreadPool pool(4);
+    MlmSortConfig cfg;
+    cfg.variant = variant;
+    cfg.megachunk_elements = n / 4;
+    auto data = mlm::sort::make_test_records<N>(n, keys, 31);
+    auto expect = data;
+    std::stable_sort(expect.begin(), expect.end());
+    MlmSorter<mlm::sort::Record<N>> sorter(space, pool, cfg);
+    EXPECT_EQ(sorter.sort(std::span<mlm::sort::Record<N>>(data)).megachunks,
+              4u);
+    EXPECT_TRUE(data == expect);
+  }
+};
+
+TEST_P(MlmSortRecordStability, Record64MatchesStableSort) {
+  expect_stable<56>(20000);
+}
+
+TEST_P(MlmSortRecordStability, Record16MatchesStableSort) {
+  expect_stable<8>(40000);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Duplicates, MlmSortRecordStability,
+    ::testing::Combine(
+        ::testing::Values(MlmVariant::Flat, MlmVariant::Implicit,
+                          MlmVariant::DdrOnly),
+        ::testing::Values(TestInput::FewDistinct, TestInput::AllEqual)),
+    [](const auto& info) {
+      std::string variant = to_string(std::get<0>(info.param));
+      std::erase(variant, '-');
+      return variant + "_" + mlm::sort::name_of(std::get<1>(info.param));
+    });
+
 TEST(MlmSorter, FlatUsesMultipleMegachunksWhenDataExceedsMcdram) {
   // 2 MiB MCDRAM, 500k int64 = ~3.8 MiB of data -> >= 2 megachunks.
   DualSpace space = make_space(MlmVariant::Flat, MiB(2));

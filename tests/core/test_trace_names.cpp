@@ -88,14 +88,18 @@ TEST(TraceNames, MlmSorterFlatMegachunks) {
   });
 }
 
-// Overlapped copy-ins run on the copy pool and are not traced; only the
-// workers' spans are.
+// Overlapped copy-ins run on the copy pool; each is traced from issue
+// until the workers wait for it, on the next track, and is emitted when
+// that wait returns: after the sort+merge it overlapped.
 TEST(TraceNames, MlmSorterFlatOverlappedMegachunks) {
   TraceWriter trace;
   sort_three_megachunks(trace, true);
   expect_events(trace, {
+      {"mega copy-in 0", "mlm-sort", 5},
       {"mega sort+merge 0", "mlm-sort", 4},
+      {"mega copy-in 1", "mlm-sort", 5},
       {"mega sort+merge 1", "mlm-sort", 4},
+      {"mega copy-in 2", "mlm-sort", 5},
       {"mega sort+merge 2", "mlm-sort", 4},
       {"final merge", "mlm-sort", 4},
   });

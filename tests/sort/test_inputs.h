@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "mlm/sort/input_gen.h"
+#include "mlm/sort/record.h"
 
 namespace mlm::sort {
 
@@ -89,6 +90,25 @@ inline std::vector<std::int64_t> make_test_input(std::size_t n,
       break;
   }
   return v;
+}
+
+/// Records keyed by make_test_input's keys, with payloads that are a
+/// function of the position alone: equal keys carry distinct payloads,
+/// so any tie order shows in the bytes.
+template <std::size_t N>
+std::vector<Record<N>> make_test_records(std::size_t n, TestInput input,
+                                         std::uint64_t seed) {
+  const std::vector<std::int64_t> keys = make_test_input(n, input, seed);
+  std::vector<Record<N>> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i].key = static_cast<std::uint64_t>(keys[i]);
+    std::uint64_t state = record_detail::mix(seed ^ i);
+    for (std::size_t b = 0; b < N; ++b) {
+      if (b % 8 == 0) state = record_detail::mix(state);
+      out[i].payload[b] = static_cast<std::uint8_t>(state >> (b % 8 * 8));
+    }
+  }
+  return out;
 }
 
 }  // namespace mlm::sort

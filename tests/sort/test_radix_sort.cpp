@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "mlm/sort/input_gen.h"
+#include "mlm/sort/record.h"
 #include "mlm/support/error.h"
 #include "sort/test_inputs.h"
 
@@ -97,6 +98,118 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(kAdversarialElements),
                        adversarial_inputs(), ::testing::Values(4)),
     [](const auto& info) { return name_of(std::get<1>(info.param)); });
+
+// --- radix_sort_records: the stable per-thread sort for Record<N> -----
+
+/// Key shapes for the record kernel: the TestInput ones, plus keys that
+/// differ only in their lowest or only in their highest byte (the first
+/// or the last LSD pass alone does the sorting).
+enum class RecordKeys {
+  Random,
+  Sorted,
+  Reverse,
+  FewDistinct,
+  AllEqual,
+  Byte0Only,
+  Byte7Only
+};
+
+std::string name_of(RecordKeys keys) {
+  switch (keys) {
+    case RecordKeys::Random: return "random";
+    case RecordKeys::Sorted: return "sorted";
+    case RecordKeys::Reverse: return "reverse";
+    case RecordKeys::FewDistinct: return "fewdistinct";
+    case RecordKeys::AllEqual: return "allequal";
+    case RecordKeys::Byte0Only: return "byte0only";
+    case RecordKeys::Byte7Only: return "byte7only";
+  }
+  return "?";
+}
+
+template <std::size_t N>
+std::vector<Record<N>> records_with(std::size_t n, RecordKeys keys,
+                                    std::uint64_t seed) {
+  const auto shape = [keys] {
+    switch (keys) {
+      case RecordKeys::Sorted: return TestInput::Sorted;
+      case RecordKeys::Reverse: return TestInput::Reverse;
+      case RecordKeys::FewDistinct: return TestInput::FewDistinct;
+      case RecordKeys::AllEqual: return TestInput::AllEqual;
+      default: return TestInput::Random;
+    }
+  }();
+  auto recs = make_test_records<N>(n, shape, seed);
+  for (Record<N>& r : recs) {
+    if (keys == RecordKeys::Byte0Only) {
+      r.key = 0x0123456789abcd00ULL | (r.key & 0xff);
+    } else if (keys == RecordKeys::Byte7Only) {
+      r.key = 0x0023456789abcdefULL | (r.key & 0xff) << 56;
+    }
+  }
+  return recs;
+}
+
+/// radix_sort_records with a scratch of exactly n records must equal
+/// std::stable_sort byte for byte: payloads tell equal keys apart.
+template <std::size_t N>
+void expect_stable_record_sort(std::size_t n, RecordKeys keys) {
+  auto recs = records_with<N>(n, keys, n * 29 + 5);
+  auto expect = recs;
+  std::stable_sort(expect.begin(), expect.end());
+  std::vector<Record<N>> scratch(n);
+  radix_sort_records(std::span<Record<N>>(recs),
+                     std::span<Record<N>>(scratch));
+  EXPECT_TRUE(recs == expect);
+}
+
+using RecordCase = std::tuple<std::size_t, RecordKeys>;
+
+class RadixSortRecordsProperty
+    : public ::testing::TestWithParam<RecordCase> {};
+
+// The (key, index) pair path.
+TEST_P(RadixSortRecordsProperty, Record64MatchesStableSort) {
+  const auto [n, keys] = GetParam();
+  expect_stable_record_sort<56>(n, keys);
+}
+
+// Records under 32 B are radix-sorted directly: Record16 and a 24-byte
+// record.
+TEST_P(RadixSortRecordsProperty, Record16MatchesStableSort) {
+  const auto [n, keys] = GetParam();
+  expect_stable_record_sort<8>(n, keys);
+}
+
+TEST_P(RadixSortRecordsProperty, Record24MatchesStableSort) {
+  const auto [n, keys] = GetParam();
+  expect_stable_record_sort<16>(n, keys);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, RadixSortRecordsProperty,
+    ::testing::Combine(
+        ::testing::Values(0, 1, 2, 63, 64, 65, kRadixCacheElements - 1,
+                          kRadixCacheElements, kRadixCacheElements + 1),
+        ::testing::Values(RecordKeys::Random, RecordKeys::Sorted,
+                          RecordKeys::Reverse, RecordKeys::FewDistinct,
+                          RecordKeys::AllEqual, RecordKeys::Byte0Only,
+                          RecordKeys::Byte7Only)),
+    [](const auto& info) {
+      return "n" + std::to_string(std::get<0>(info.param)) + "_" +
+             name_of(std::get<1>(info.param));
+    });
+
+TEST(RadixSortRecords, ScratchShorterThanDataRejected) {
+  std::vector<Record64> wide(100), wide_scratch(99);
+  EXPECT_THROW(radix_sort_records(std::span<Record64>(wide),
+                                  std::span<Record64>(wide_scratch)),
+               InvalidArgumentError);
+  std::vector<Record16> narrow(100), narrow_scratch(99);
+  EXPECT_THROW(radix_sort_records(std::span<Record16>(narrow),
+                                  std::span<Record16>(narrow_scratch)),
+               InvalidArgumentError);
+}
 
 TEST(RadixSort, NegativeValuesOrderCorrectly) {
   std::vector<std::int64_t> v{5,

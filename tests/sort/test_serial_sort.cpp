@@ -205,11 +205,36 @@ TEST(SerialSortDispatch, LambdaTakesTheStdSortPath) {
   EXPECT_TRUE(c.scratch_untouched());
 }
 
+// Record<N> under std::less takes the stable radix path: equal keys
+// keep their input order, which std::sort does not promise.
+TEST(SerialSortDispatch, RecordsUnderStdLessSortStably) {
+  for (const bool typed : {false, true}) {
+    auto recs = make_test_records<56>(5000, TestInput::FewDistinct, 11);
+    auto expect = recs;
+    std::stable_sort(expect.begin(), expect.end());
+    std::vector<Record64> scratch(recs.size());
+    const std::span<Record64> data(recs), tmp(scratch);
+    if (typed) {
+      serial_sort(data, tmp, std::less<Record64>{});
+    } else {
+      serial_sort(data, tmp, std::less<>{});
+    }
+    EXPECT_TRUE(recs == expect) << "typed std::less: " << typed;
+  }
+}
+
 TEST(SerialSortDispatch, ScratchTooSmallRejectedOnBothPaths) {
   std::vector<std::int64_t> v(100), scratch(50);
   const std::span<std::int64_t> data(v), small(scratch);
   EXPECT_THROW(serial_sort(data, small), InvalidArgumentError);
   EXPECT_THROW(serial_sort(data, small, std::greater<>{}),
+               InvalidArgumentError);
+}
+
+TEST(SerialSortDispatch, RecordScratchTooSmallRejected) {
+  std::vector<Record64> recs(100), scratch(99);
+  EXPECT_THROW(serial_sort(std::span<Record64>(recs),
+                           std::span<Record64>(scratch)),
                InvalidArgumentError);
 }
 

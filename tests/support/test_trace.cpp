@@ -25,7 +25,9 @@ TEST(TraceWriter, EventFieldsSerialized) {
   EXPECT_NE(json.find("\"name\":\"copy-in\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"copy\""), std::string::npos);
   EXPECT_NE(json.find("\"tid\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"ts\":1.5e+06"), std::string::npos);
+  EXPECT_EQ(json_parse(json).get("traceEvents").items()[0].get("ts")
+                .as_number(),
+            1.5e6);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
 }
 
@@ -37,7 +39,20 @@ TEST(TraceWriter, SequentialPhasesAbutAndReturnEnd) {
   EXPECT_EQ(w.size(), 3u);
   const std::string json = w.to_json();
   // b starts where a ends (11 s = 1.1e7 us).
-  EXPECT_NE(json.find("\"ts\":1.1e+07"), std::string::npos);
+  EXPECT_EQ(json_parse(json).get("traceEvents").items()[1].get("ts")
+                .as_number(),
+            1.1e7);
+}
+
+// Time stamps and durations keep every digit through the JSON: an event
+// 12 s into a run is not rounded to 10 us.
+TEST(TraceWriter, TimesRoundTripExactly) {
+  TraceWriter w;
+  w.add_event("late", "c", 0, 12.3456789, 1.2345678);
+  const JsonValue e =
+      json_parse(w.to_json()).get("traceEvents").items()[0];
+  EXPECT_EQ(e.get("ts").as_number(), 12.3456789 * 1e6);
+  EXPECT_EQ(e.get("dur").as_number(), 1.2345678 * 1e6);
 }
 
 TEST(TraceWriter, EscapesSpecialCharacters) {
